@@ -316,7 +316,9 @@ def reproduce(figure_id: str, out_dir, na_list=None, threads: int = 1,
                 d = float(d)
                 cfg = _squares_config(d, 100.0, shift=(d if opts.get("shift") else 0.0),
                                       rotated=bool(opts.get("rotated")))
-                # sweep resolution: ~0.1% shadow accuracy is plenty for plot data
+                # plot-data resolution: against the plate exchange integral, 24 of
+                # the 63 totals at 48x96 miss 0.1 %, the worst by 6.0 % (shifted
+                # pair, d/l = 10); every total up to d/l = 0.5 stays within 0.1 %
                 cfg = dataclasses.replace(cfg, n_theta=48, n_phi=96)
                 msr = compute_shadow(cfg, threads=threads)
                 rows.append((d, msr.total))

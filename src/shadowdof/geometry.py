@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
@@ -67,34 +68,51 @@ class Direction:
         return self.theta is not None
 
     @property
-    def khat(self) -> np.ndarray:
+    def angles(self) -> np.ndarray:
+        """This direction as a one-row batch for ``direction_frames``."""
         if self.theta is None:
-            return np.array([math.cos(self.phi), math.sin(self.phi)])
-        st, ct = math.sin(self.theta), math.cos(self.theta)
-        return np.array([st * math.cos(self.phi), st * math.sin(self.phi), ct])
+            return np.array([self.phi], dtype=float)
+        return np.array([[self.theta, self.phi]], dtype=float)
+
+    @property
+    def khat(self) -> np.ndarray:
+        return direction_frames(self.angles)[0][0]
 
     @property
     def phat(self) -> np.ndarray:
         """2D projection axis perpendicular to the direction."""
         if self.theta is not None:
             raise ValueError("phat is defined for 2D directions only")
-        return np.array([-math.sin(self.phi), math.cos(self.phi)])
+        return direction_frames(self.angles)[1][0]
 
     def plane_basis(self) -> tuple[np.ndarray, np.ndarray]:
-        """Orthonormal (theta_hat, phi_hat) basis of the projection plane.
-
-        At the poles (sin(theta) = 0) the basis is fixed to (x, y) to avoid
-        the coordinate singularity.
-        """
+        """Orthonormal (theta_hat, phi_hat) basis of the projection plane."""
         if self.theta is None:
             raise ValueError("plane basis is defined for 3D directions only")
-        st, ct = math.sin(self.theta), math.cos(self.theta)
-        if abs(st) < 1e-14:
-            return np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])
-        cp, sp = math.cos(self.phi), math.sin(self.phi)
-        theta_hat = np.array([ct * cp, ct * sp, -st])
-        phi_hat = np.array([-sp, cp, 0.0])
-        return theta_hat, phi_hat
+        basis = direction_frames(self.angles)[1][0]
+        return basis[:, 0], basis[:, 1]
+
+
+def direction_frames(angles) -> tuple[np.ndarray, np.ndarray]:
+    """Propagation vectors and projection frames of a batch of directions.
+
+    ``angles`` holds (N,) azimuths (2D) or (N, 2) [theta, phi] rows (3D).
+    Returns khat (N, dim) and the frame shapes are projected onto: the axis
+    phat = (-sin phi, cos phi) as (N, 2) in 2D, the (theta_hat, phi_hat)
+    basis as the columns of (N, 3, 2) in 3D.  At the poles (sin(theta) = 0)
+    the basis is fixed to (x, y) to avoid the coordinate singularity.
+    """
+    a = np.asarray(angles, dtype=float)
+    if a.ndim == 1:
+        c, s = np.cos(a), np.sin(a)
+        return np.stack([c, s], axis=1), np.stack([-s, c], axis=1)
+    st, ct = np.sin(a[:, 0]), np.cos(a[:, 0])
+    cp, sp = np.cos(a[:, 1]), np.sin(a[:, 1])
+    khat = np.stack([st * cp, st * sp, ct], axis=1)
+    pole = (np.abs(st) < 1e-14)[:, None]
+    theta_hat = np.where(pole, [1.0, 0.0, 0.0], np.stack([ct * cp, ct * sp, -st], axis=1))
+    phi_hat = np.where(pole, [0.0, 1.0, 0.0], np.stack([-sp, cp, np.zeros_like(sp)], axis=1))
+    return khat, np.stack([theta_hat, phi_hat], axis=2)
 
 
 # ---------------------------------------------------------------------------
@@ -300,57 +318,106 @@ class ShadowPolygon:
         return self.vertices.shape[0] < 3 or self.area <= 0.0
 
 
+class Rings(NamedTuple):
+    """Convex CCW shadow polygons of a batch of directions, padded to one width.
+
+    Row n of ``xy`` (N, W, 2) holds ``count[n]`` vertices followed by copies
+    of its last vertex; a count of zero marks an empty shadow.
+    """
+
+    xy: np.ndarray
+    count: np.ndarray
+
+    @classmethod
+    def of(cls, polys) -> Rings:
+        """One row per ShadowPolygon; empty polygons get a count of zero."""
+        count = np.array([0 if p.is_empty else p.vertices.shape[0] for p in polys])
+        xy = np.zeros((len(polys), max(int(count.max()), 1), 2))
+        for row, (p, c) in enumerate(zip(polys, count)):
+            xy[row, :c] = p.vertices[:c]
+        return _padded(xy, count)
+
+    def polygon(self) -> ShadowPolygon:
+        """The first row as a ShadowPolygon."""
+        return ShadowPolygon(self.xy[0, :self.count[0]])
+
+
+def _padded(xy: np.ndarray, count: np.ndarray) -> Rings:
+    """Rings from the first ``count`` vertices of each row, trimmed to the widest."""
+    width = max(int(count.max()), 1)
+    idx = np.minimum(np.arange(width), np.maximum(count - 1, 0)[:, None])
+    return Rings(np.take_along_axis(xy, idx[..., None], axis=1), count)
+
+
+def ring_areas(xy: np.ndarray) -> np.ndarray:
+    """Shoelace areas of (..., W, 2) rings; positive for CCW vertex order.
+
+    The terms are summed in vertex order, so the copies padding a ring add
+    exact zeros and leave its area bit-identical.
+    """
+    x, y = xy[..., 0], xy[..., 1]
+    cross = x * np.roll(y, -1, axis=-1) - np.roll(x, -1, axis=-1) * y
+    return 0.5 * np.cumsum(cross, axis=-1)[..., -1]
+
+
 def polygon_area(vertices: np.ndarray) -> float:
     """Shoelace area; positive for CCW vertex order."""
     v = np.asarray(vertices, dtype=float)
     if v.shape[0] < 3:
         return 0.0
-    x, y = v[:, 0], v[:, 1]
-    return 0.5 * float(x @ np.roll(y, -1) - y @ np.roll(x, -1))
-
-
-def _regular_circle_offsets(n_arc: int) -> np.ndarray:
-    t = 2.0 * np.pi * (np.arange(n_arc) + 0.5) / n_arc
-    return np.column_stack([np.cos(t), np.sin(t)])
+    return float(ring_areas(v))
 
 
 # ---------------------------------------------------------------------------
 # Projections
 
 
+def support_intervals(shape, phats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bounds of p = phat . r over a 2D shape for a batch of axes phats (N, 2)."""
+    if isinstance(shape, Disc):
+        c = np.einsum("k,nk->n", shape.center, phats)
+        return c - shape.radius, c + shape.radius
+    if isinstance(shape, Segment):
+        p = np.einsum("mk,nk->nm", np.stack([shape.start, shape.end]), phats)
+    elif isinstance(shape, ConvexPolygon):
+        p = np.einsum("mk,nk->nm", shape.vertices, phats)
+    else:
+        raise TypeError(f"not a 2D shape: {type(shape).__name__}")
+    return p.min(axis=1), p.max(axis=1)
+
+
 def project_shape_2d(shape, direction: Direction) -> ShadowInterval:
     """Interval of p = phat . r over the shape, phat = (-sin phi, cos phi)."""
-    phat = direction.phat
-    if isinstance(shape, Segment):
-        p = np.array([shape.start @ phat, shape.end @ phat])
-        return ShadowInterval(float(p.min()), float(p.max()))
-    if isinstance(shape, ConvexPolygon):
-        p = shape.vertices @ phat
-        return ShadowInterval(float(p.min()), float(p.max()))
-    if isinstance(shape, Disc):
-        c = float(shape.center @ phat)
-        return ShadowInterval(c - shape.radius, c + shape.radius)
-    raise TypeError(f"not a 2D shape: {type(shape).__name__}")
+    lo, hi = support_intervals(shape, direction.phat[None])
+    return ShadowInterval(float(lo[0]), float(hi[0]))
+
+
+def project_rings(shape, bases: np.ndarray, n_arc: int = N_ARC_DEFAULT) -> Rings:
+    """Convex shadow polygons of a 3D shape for a batch of plane bases (N, 3, 2)."""
+    if isinstance(shape, Sphere):
+        c2 = np.einsum("k,nkj->nj", shape.center, bases)
+        t = 2.0 * np.pi * (np.arange(n_arc) + 0.5) / n_arc
+        xy = c2[:, None, :] + shape.radius * np.column_stack([np.cos(t), np.sin(t)])
+        return Rings(xy, np.full(bases.shape[0], n_arc))
+    if isinstance(shape, PlanarPolygon):
+        # projection of a convex ring stays a convex ring (up to orientation)
+        flat = np.einsum("mk,nkj->nmj", shape.vertices, bases)
+        area = ring_areas(flat)
+        scale = np.maximum(np.abs(flat).max(axis=(1, 2)), 1.0)
+        edge_on = np.abs(area) <= 1e-12 * scale * scale
+        xy = np.where((area < 0)[:, None, None], flat[:, ::-1], flat)
+        return Rings(xy, np.where(edge_on, 0, flat.shape[1]))
+    if isinstance(shape, TriangleMesh):
+        flat = np.einsum("mk,nkj->nmj", shape.vertices, bases)
+        # Qhull has no batched call: one hull per direction
+        return Rings.of([ShadowPolygon(convex_hull_2d(p)) for p in flat])
+    raise TypeError(f"not a 3D shape: {type(shape).__name__}")
 
 
 def project_shape_3d(shape, direction: Direction, n_arc: int = N_ARC_DEFAULT) -> ShadowPolygon:
     """Convex shadow polygon in the (theta_hat, phi_hat) plane of the direction."""
-    e1, e2 = direction.plane_basis()
-    basis = np.column_stack([e1, e2])
-    if isinstance(shape, Sphere):
-        c2 = shape.center @ basis
-        return ShadowPolygon(c2 + shape.radius * _regular_circle_offsets(n_arc))
-    if isinstance(shape, PlanarPolygon):
-        # projection of a convex ring stays a convex ring (up to orientation)
-        flat = shape.vertices @ basis
-        area = polygon_area(flat)
-        scale = max(float(np.abs(flat).max()), 1.0)
-        if abs(area) <= 1e-12 * scale * scale:
-            return ShadowPolygon()
-        return ShadowPolygon(flat if area > 0 else flat[::-1])
-    if isinstance(shape, TriangleMesh):
-        return ShadowPolygon(convex_hull_2d(shape.vertices @ basis))
-    raise TypeError(f"not a 3D shape: {type(shape).__name__}")
+    basis = np.stack(direction.plane_basis(), axis=1)
+    return project_rings(shape, basis[None], n_arc).polygon()
 
 
 def convex_hull_2d(points: np.ndarray) -> np.ndarray:
@@ -378,51 +445,71 @@ def interval_intersection(a: ShadowInterval, b: ShadowInterval) -> ShadowInterva
     return ShadowInterval(lo, hi)
 
 
-def _clip_halfplane(poly: np.ndarray, p: np.ndarray, q: np.ndarray, eps: float) -> np.ndarray:
-    """Keep the part of a polygon left of the directed edge p -> q."""
+def _clip_edge(xy, count, p, q, eps) -> Rings:
+    """Keep the part of each ring left of its directed edge p -> q (N, 2)."""
+    n, width, _ = xy.shape
+    slot = np.arange(width)
+    nxt = np.where(slot + 1 < count[:, None], slot + 1, 0)
     d = q - p
-    out = []
-    n = poly.shape[0]
-    cr = d[0] * (poly[:, 1] - p[1]) - d[1] * (poly[:, 0] - p[0])
-    for i in range(n):
-        j = (i + 1) % n
-        ci, cj = cr[i], cr[j]
-        if ci >= -eps:
-            out.append(poly[i])
-        if (ci > eps and cj < -eps) or (ci < -eps and cj > eps):
-            t = ci / (ci - cj)
-            out.append(poly[i] + t * (poly[j] - poly[i]))
-    return np.asarray(out).reshape(-1, 2)
+    cr = d[:, :1] * (xy[..., 1] - p[:, 1:]) - d[:, 1:] * (xy[..., 0] - p[:, :1])
+    crn = np.take_along_axis(cr, nxt, axis=1)
+    eps = eps[:, None]
+    real = slot < count[:, None]
+    keep = real & (cr >= -eps)
+    cross = real & (((cr > eps) & (crn < -eps)) | ((cr < -eps) & (crn > eps)))
+    with np.errstate(divide="ignore", invalid="ignore"):  # only crossings are used
+        t = (cr / (cr - crn))[..., None]
+        hit = xy + t * (np.take_along_axis(xy, nxt[..., None], axis=1) - xy)
+    # each vertex emits itself if kept, then the edge crossing after it
+    emitted = keep.astype(int) + cross
+    end = np.cumsum(emitted, axis=1)
+    rows = np.broadcast_to(np.arange(n)[:, None], (n, width))
+    out = np.zeros((n, width + 1, 2))
+    out[rows[keep], (end - emitted)[keep]] = xy[keep]
+    out[rows[cross], (end - 1)[cross]] = hit[cross]
+    new_count = end[:, -1]
+    return _padded(out, np.where(new_count >= 3, new_count, 0))
 
 
-def _dedupe_ring(poly: np.ndarray, eps: float) -> np.ndarray:
-    if poly.shape[0] == 0:
-        return poly
-    keep = [poly[0]]
-    for v in poly[1:]:
-        if np.abs(v - keep[-1]).max() > eps:
-            keep.append(v)
-    if len(keep) > 1 and np.abs(keep[0] - keep[-1]).max() <= eps:
-        keep.pop()
-    return np.asarray(keep).reshape(-1, 2)
+def clip_rings(a: Rings, b: Rings) -> tuple[Rings, np.ndarray]:
+    """Batched Sutherland-Hodgman clip of convex rings a by convex rings b.
+
+    Vertices within eps = 1e-12 scale**2 of a clip edge count as inside;
+    a result with fewer than 3 vertices or an area of at most eps is empty.
+    Returns the intersection rings and their areas.
+    """
+    scale = np.maximum(np.maximum(np.abs(a.xy).max(axis=(1, 2)),
+                                  np.abs(b.xy).max(axis=(1, 2))), 1.0)
+    eps = 1e-12 * scale * scale
+    out = Rings(a.xy, np.where(b.count > 0, a.count, 0))
+    rows = np.arange(b.xy.shape[0])
+    for k in range(b.xy.shape[1]):
+        if not out.count.any():
+            break
+        # edge k -> k+1 of b, closing at its last vertex; pad edges are no-ops
+        head = np.where(k + 1 < b.count, k + 1, np.where(k + 1 == b.count, 0, k))
+        out = _clip_edge(out.xy, out.count, b.xy[:, k], b.xy[rows, head], eps)
+    area = ring_areas(out.xy)
+    alive = (out.count > 0) & (area > eps)
+    return Rings(out.xy, np.where(alive, out.count, 0)), np.where(alive, area, 0.0)
 
 
 def convex_polygon_intersection(a: ShadowPolygon, b: ShadowPolygon) -> ShadowPolygon:
     """Sutherland-Hodgman clip of convex polygon a by convex polygon b."""
-    if a.is_empty or b.is_empty:
-        return ShadowPolygon()
-    scale = max(float(np.abs(a.vertices).max()), float(np.abs(b.vertices).max()), 1.0)
-    eps = 1e-12 * scale * scale
-    poly = a.vertices
-    bv = b.vertices
-    for i in range(bv.shape[0]):
-        poly = _clip_halfplane(poly, bv[i], bv[(i + 1) % bv.shape[0]], eps)
-        if poly.shape[0] < 3:
-            return ShadowPolygon()
-    poly = _dedupe_ring(poly, 1e-12 * scale)
-    if poly.shape[0] < 3 or polygon_area(poly) <= eps:
-        return ShadowPolygon()
-    return ShadowPolygon(poly)
+    return clip_rings(Rings.of([a]), Rings.of([b]))[0].polygon()
+
+
+def lens_areas(a1: float, a2: float, d: np.ndarray) -> np.ndarray:
+    """Lens areas of two discs with radii a1, a2 at center distances d (an array)."""
+    partial = (d > abs(a1 - a2)) & (d < a1 + a2)
+    d_lens = np.where(partial, d, 1.0)
+    total = np.zeros_like(d_lens)
+    for an in (a1, a2):
+        dn = (d_lens * d_lens + 2 * an * an - a1 * a1 - a2 * a2) / (2 * d_lens * an)
+        dn = np.clip(dn, -1.0, 1.0)
+        total += an * an * (np.arccos(dn) - dn * np.sqrt(1.0 - dn * dn))
+    contained = np.where(d <= abs(a1 - a2), math.pi * min(a1, a2) ** 2, 0.0)
+    return np.where(partial, total, contained)
 
 
 def circle_intersection_area(a1: float, a2: float, d: float) -> float:
@@ -431,84 +518,67 @@ def circle_intersection_area(a1: float, a2: float, d: float) -> float:
         raise ValueError("radii must be positive")
     if d < 0:
         raise ValueError("center distance must be nonnegative")
-    if d >= a1 + a2:
-        return 0.0
-    if d <= abs(a1 - a2):
-        return math.pi * min(a1, a2) ** 2
-    total = 0.0
-    for an in (a1, a2):
-        dn = (d * d + 2 * an * an - a1 * a1 - a2 * a2) / (2 * d * an)
-        dn = min(1.0, max(-1.0, dn))
-        total += an * an * (math.acos(dn) - dn * math.sqrt(1.0 - dn * dn))
-    return total
+    return float(lens_areas(a1, a2, np.array([d]))[0])
 
 
 # ---------------------------------------------------------------------------
 # Unions (multi-part shadows)
 
 
+def union_length(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Union length of K intervals per row (lo, hi: (N, K)) by one sorted sweep.
+
+    Intervals with hi <= lo are empty.  Each interval adds what reaches past
+    the furthest end of the intervals sorted before it.
+    """
+    order = np.argsort(lo, axis=1, kind="stable")
+    lo = np.take_along_axis(lo, order, axis=1)
+    hi = np.take_along_axis(hi, order, axis=1)
+    hi = np.where(hi > lo, hi, -np.inf)
+    reach = np.maximum.accumulate(hi, axis=1)
+    before = np.concatenate([np.full((lo.shape[0], 1), -np.inf), reach[:, :-1]], axis=1)
+    gain = np.maximum(hi - np.maximum(lo, before), 0.0)
+    return np.cumsum(gain, axis=1)[:, -1]
+
+
 def interval_union_length(intervals) -> float:
     """Total length of a union of intervals (exact sweep)."""
-    segs = sorted((iv.lo, iv.hi) for iv in intervals if not iv.is_empty)
-    total = 0.0
-    cur_lo = cur_hi = None
-    for lo, hi in segs:
-        if cur_hi is None or lo > cur_hi:
-            if cur_hi is not None:
-                total += cur_hi - cur_lo
-            cur_lo, cur_hi = lo, hi
-        else:
-            cur_hi = max(cur_hi, hi)
-    if cur_hi is not None:
-        total += cur_hi - cur_lo
-    return total
+    bounds = np.array([[iv.lo, iv.hi] for iv in intervals], dtype=float).reshape(1, -1, 2)
+    return float(union_length(bounds[..., 0], bounds[..., 1])[0]) if bounds.size else 0.0
 
 
-def polygon_union_area(polys, raster_cells: int = 1024) -> float:
-    """Area of a union of convex polygons.
+def intersect_rings(a: Rings, b: Rings) -> tuple[Rings, np.ndarray]:
+    """Intersection rings and areas of two batches of convex rings.
 
-    Exact inclusion-exclusion for up to 8 polygons (intersections of convex
-    polygons stay convex); a rasterization fallback is used beyond that.
+    The wider batch is clipped by the narrower one: the intersection is the
+    same, and the clip takes one step per edge of the clipping ring.
     """
-    parts = [p for p in polys if not p.is_empty]
-    if not parts:
-        return 0.0
-    if len(parts) == 1:
-        return parts[0].area
-    if len(parts) <= 8:
-        total = 0.0
+    return clip_rings(a, b) if a.xy.shape[1] >= b.xy.shape[1] else clip_rings(b, a)
 
-        def descend(current: ShadowPolygon, start: int, sign: float):
-            nonlocal total
-            for i in range(start, len(parts)):
-                inter = convex_polygon_intersection(current, parts[i])
-                if inter.is_empty:
-                    continue
-                total += sign * inter.area
-                descend(inter, i + 1, -sign)
 
-        for i, p in enumerate(parts):
-            total += p.area
-            descend(p, i + 1, -1.0)
+def union_area(parts: list[Rings]) -> np.ndarray:
+    """Area of the union of convex rings per direction, by inclusion-exclusion.
+
+    Intersections of convex polygons stay convex, so every term is exact; a
+    branch stops once its intersection is empty in every direction.
+    """
+    def terms(current: Rings, area: np.ndarray, start: int, sign: float) -> np.ndarray:
+        # this intersection's term, then those of its intersections with later parts
+        total = sign * area
+        for i in range(start, len(parts)):
+            inter, inter_area = intersect_rings(current, parts[i])
+            if inter.count.any():
+                total = total + terms(inter, inter_area, i + 1, -sign)
         return total
-    return _raster_union_area(parts, raster_cells)
+
+    return sum(terms(p, np.where(p.count > 0, ring_areas(p.xy), 0.0), i + 1, 1.0)
+               for i, p in enumerate(parts))
 
 
-def _raster_union_area(parts, n_cells: int) -> float:
-    allv = np.vstack([p.vertices for p in parts])
-    lo = allv.min(axis=0)
-    hi = allv.max(axis=0)
-    span = hi - lo
-    if span[0] <= 0 or span[1] <= 0:
-        return 0.0
-    xs = lo[0] + (np.arange(n_cells) + 0.5) * span[0] / n_cells
-    ys = lo[1] + (np.arange(n_cells) + 0.5) * span[1] / n_cells
-    gx, gy = np.meshgrid(xs, ys, indexing="ij")
-    pts = np.column_stack([gx.ravel(), gy.ravel()])
-    inside = np.zeros(pts.shape[0], dtype=bool)
-    for p in parts:
-        inside |= points_in_convex_polygon(pts, p.vertices)
-    return float(inside.mean()) * span[0] * span[1]
+def polygon_union_area(polys) -> float:
+    """Area of a union of convex polygons (exact inclusion-exclusion)."""
+    parts = [Rings.of([p]) for p in polys]
+    return float(union_area(parts)[0]) if parts else 0.0
 
 
 def points_in_convex_polygon(points: np.ndarray, vertices: np.ndarray) -> np.ndarray:
@@ -565,14 +635,9 @@ def mesh_plate(origin, u_vec, v_vec, h: float) -> TriangleMesh:
     ti = np.linspace(0.0, 1.0, nv + 1)
     verts = (origin[None, :] + si[:, None, None] * u[None, None, :]
              + ti[None, :, None] * v[None, None, :]).reshape(-1, 3)
-    tris = []
-    for i in range(nu):
-        for j in range(nv):
-            a = i * (nv + 1) + j
-            b = (i + 1) * (nv + 1) + j
-            tris.append([a, b, a + 1])
-            tris.append([b, b + 1, a + 1])
-    tris = np.asarray(tris, dtype=int)
+    a = (np.arange(nu)[:, None] * (nv + 1) + np.arange(nv)).ravel()
+    b = a + nv + 1
+    tris = np.stack([a, b, a + 1, b, b + 1, a + 1], axis=1).reshape(-1, 3)
     n = np.cross(u, v)
     n = n / np.linalg.norm(n)
     normals = np.tile(n, (tris.shape[0], 1))
@@ -603,10 +668,7 @@ def mesh_disc(center, normal, radius: float, h: float) -> TriangleMesh:
     verts = center[None, :] + pts2[:, 0:1] * e1[None, :] + pts2[:, 1:2] * e2[None, :]
     tris = tri.simplices.copy()
     # enforce consistent in-plane orientation
-    p = pts2[tris]
-    e1, e2 = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
-    cr = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-    flip = cr < 0
+    flip = ring_areas(pts2[tris]) < 0
     tris[flip] = tris[flip][:, [0, 2, 1]]
     normals = np.tile(normal, (tris.shape[0], 1))
     return TriangleMesh(verts, tris, normals, closed=False)
@@ -617,32 +679,19 @@ def mesh_sphere(center, radius: float, h: float) -> TriangleMesh:
     center = _as_array(center, 3, "center")
     n_theta = max(4, int(round(np.pi * radius / h)))
     n_phi = max(6, int(round(2 * np.pi * radius / h)))
-    thetas = np.pi * np.arange(1, n_theta) / n_theta
-    verts = [np.array([0.0, 0.0, radius])]
-    rows = []
-    for th in thetas:
-        row = []
-        for j in range(n_phi):
-            ph = 2 * np.pi * j / n_phi
-            row.append(len(verts))
-            verts.append(radius * np.array([
-                math.sin(th) * math.cos(ph), math.sin(th) * math.sin(ph), math.cos(th)]))
-        rows.append(row)
-    south = len(verts)
-    verts.append(np.array([0.0, 0.0, -radius]))
-    verts = np.asarray(verts) + center[None, :]
-    tris = []
-    for j in range(n_phi):
-        tris.append([0, rows[0][j], rows[0][(j + 1) % n_phi]])
-    for i in range(len(rows) - 1):
-        for j in range(n_phi):
-            a, b = rows[i][j], rows[i][(j + 1) % n_phi]
-            c, d = rows[i + 1][j], rows[i + 1][(j + 1) % n_phi]
-            tris.append([a, c, b])
-            tris.append([b, c, d])
-    for j in range(n_phi):
-        tris.append([south, rows[-1][(j + 1) % n_phi], rows[-1][j]])
-    tris = np.asarray(tris, dtype=int)
+    th, ph = np.meshgrid(np.pi * np.arange(1, n_theta) / n_theta,
+                         2 * np.pi * np.arange(n_phi) / n_phi, indexing="ij")
+    ring = radius * np.stack([np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph), np.cos(th)], -1)
+    verts = np.vstack([[0.0, 0.0, radius], ring.reshape(-1, 3), [0.0, 0.0, -radius]]) + center
+    # vertex indices of the latitude rows, and of each vertex's eastern neighbour
+    rows = 1 + np.arange(n_theta - 1)[:, None] * n_phi + np.arange(n_phi)
+    east = np.roll(rows, -1, axis=1)
+    a, b, c, d = rows[:-1], east[:-1], rows[1:], east[1:]
+    tris = np.vstack([
+        np.stack([np.zeros(n_phi, dtype=int), rows[0], east[0]], axis=1),
+        np.stack([a, c, b, b, c, d], axis=-1).reshape(-1, 3),
+        np.stack([np.full(n_phi, rows.size + 1), east[-1], rows[-1]], axis=1),
+    ])
     p = verts[tris]
     normals = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
     normals /= np.linalg.norm(normals, axis=1, keepdims=True)

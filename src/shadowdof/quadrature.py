@@ -79,9 +79,6 @@ def gauss_legendre(n: int, _cache={}) -> tuple[np.ndarray, np.ndarray]:
     return _cache[n]
 
 
-_gauss_cached = gauss_legendre
-
-
 def _gauss_nodes(lo: float, hi: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Exactly n positive-weight Gauss nodes on [lo, hi], in blocks of <= 64."""
     counts = [_MAX_GAUSS_BLOCK] * (n // _MAX_GAUSS_BLOCK)
@@ -92,7 +89,7 @@ def _gauss_nodes(lo: float, hi: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     x0 = lo
     for c in counts:
         x1 = x0 + width * c
-        gx, gw = _gauss_cached(c)
+        gx, gw = gauss_legendre(c)
         xs.append(0.5 * (x0 + x1) + 0.5 * (x1 - x0) * gx)
         ws.append(0.5 * (x1 - x0) * gw)
         x0 = x1

@@ -81,12 +81,15 @@ class ScenarioConfig:
     def __post_init__(self):
         if (self.wavelength is None) == (self.target_ndof is None):
             raise ScenarioError("exactly one of wavelength / target_ndof must be given")
-        if self.wavelength is not None and self.wavelength <= 0:
-            raise ScenarioError("wavelength must be positive")
-        if self.target_ndof is not None and self.target_ndof <= 0:
-            raise ScenarioError("target_ndof must be positive")
-        if self.delta_factor <= 0:
-            raise ScenarioError("delta_factor must be positive")
+        for name in ("wavelength", "target_ndof", "delta_factor", "p_factor"):
+            value = getattr(self, name)
+            if value is not None and not (math.isfinite(value) and value > 0):
+                raise ScenarioError(f"{name} must be finite and positive")
+        for name in ("n_directions", "n_theta", "n_phi"):
+            if getattr(self, name) < 1:
+                raise ScenarioError(f"{name} must be at least 1")
+        if self.power_iters < 0:
+            raise ScenarioError("power_iters must be nonnegative")
         if self.method not in ("dense", "randomized", "auto"):
             raise ScenarioError("method must be dense, randomized, or auto")
         if self.method == "randomized" and self.seed is None:

@@ -29,15 +29,17 @@ from .geometry import (
     Segment,
     Sphere,
     TriangleMesh,
-    circle_intersection_area,
     convex_polygon_intersection,
-    interval_intersection,
-    interval_union_length,
+    direction_frames,
+    intersect_rings,
+    lens_areas,
     points_in_convex_polygon,
-    polygon_union_area,
-    project_shape_2d,
+    project_rings,
     project_shape_3d,
     shape_centroid,
+    support_intervals,
+    union_area,
+    union_length,
 )
 from .quadrature import (
     DirectionQuadrature,
@@ -62,11 +64,14 @@ __all__ = [
     "reference_ndof",
     "wavelength_for_ndof",
     "region_min_distance",
+    # the per-direction geometry forms of the batched kernels, re-exported
+    "project_shape_3d",
+    "convex_polygon_intersection",
 ]
 
 NDOF_MODELS = ("scalar2d", "scalar3d", "em3d")
 
-_CHUNK = 256  # directions per work unit; fixed so results ignore thread count
+_CHUNK = 512  # directions per batch; bounds the batch arrays, results do not depend on it
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,44 +137,65 @@ class NdofEstimate:
 
 
 # ---------------------------------------------------------------------------
-# Per-direction shadows
+# Batched shadow engine: every value comes from one batch of directions (a
+# per-direction call is a batch of one); per-direction arithmetic is
+# elementwise or summed in a fixed order, so no value depends on its batch.
 
 
-def _ordering(khat: np.ndarray, t_cents, r_cents) -> bool:
-    """True when every transmitter part precedes every receiver part along khat."""
-    kt = [float(khat @ c) for c in t_cents]
-    kr = [float(khat @ c) for c in r_cents]
-    if max(kt) <= min(kr):
-        return True
-    if max(kr) <= min(kt):
-        return False
-    raise OrderingUndefinedError(
-        "transmitter and receiver parts interleave along the illumination direction"
-    )
+def _ordering(khats: np.ndarray, t_cents, r_cents) -> np.ndarray:
+    """Per direction: True when every transmitter part precedes every receiver part.
+
+    Raises OrderingUndefinedError when the part centroids interleave.
+    """
+    kt = np.einsum("nk,pk->np", khats, np.asarray(t_cents))
+    kr = np.einsum("nk,pk->np", khats, np.asarray(r_cents))
+    forward = kt.max(axis=1) <= kr.min(axis=1)
+    if not np.all(forward | (kr.max(axis=1) <= kt.min(axis=1))):
+        raise OrderingUndefinedError(
+            "transmitter and receiver parts interleave along the illumination direction"
+        )
+    return forward
 
 
-def _mutual_value(t_parts, r_parts, t_cents, r_cents, direction: Direction, n_arc: int) -> float:
-    if not _ordering(direction.khat, t_cents, r_cents):
-        return 0.0
-    if direction.is_3d:
-        if len(t_parts) == 1 and len(r_parts) == 1 \
-                and isinstance(t_parts[0], Sphere) and isinstance(r_parts[0], Sphere):
-            e1, e2 = direction.plane_basis()
-            basis = np.column_stack([e1, e2])
-            d = float(np.linalg.norm((t_parts[0].center - r_parts[0].center) @ basis))
-            return circle_intersection_area(t_parts[0].radius, r_parts[0].radius, d)
-        st = [project_shape_3d(p, direction, n_arc) for p in t_parts]
-        sr = [project_shape_3d(p, direction, n_arc) for p in r_parts]
-        if len(st) == 1 and len(sr) == 1:
-            return convex_polygon_intersection(st[0], sr[0]).area
-        pieces = [convex_polygon_intersection(a, b) for a in st for b in sr]
-        return polygon_union_area(pieces)
-    it = [project_shape_2d(p, direction) for p in t_parts]
-    ir = [project_shape_2d(p, direction) for p in r_parts]
-    if len(it) == 1 and len(ir) == 1:
-        return interval_intersection(it[0], ir[0]).length
-    pieces = [interval_intersection(a, b) for a in it for b in ir]
-    return interval_union_length(pieces)
+def _mutual_values(T: Region, R: Region, angles: np.ndarray, n_arc: int) -> np.ndarray:
+    """Mutual shadow measure of T and R for a batch of directions."""
+    khats, frames = direction_frames(angles)
+    values = np.zeros(khats.shape[0])
+    forward = np.flatnonzero(_ordering(khats, T.centroids, R.centroids))
+    if not forward.size:
+        return values
+    frames = frames[forward]
+    if T.dimension == 2:
+        t_iv = [support_intervals(p, frames) for p in T.parts]
+        r_iv = [support_intervals(p, frames) for p in R.parts]
+        lo = np.stack([np.maximum(a[0], b[0]) for a in t_iv for b in r_iv], axis=1)
+        hi = np.stack([np.minimum(a[1], b[1]) for a in t_iv for b in r_iv], axis=1)
+        values[forward] = union_length(lo, hi)
+    elif len(T.parts) == len(R.parts) == 1 \
+            and isinstance(T.parts[0], Sphere) and isinstance(R.parts[0], Sphere):
+        t, r = T.parts[0], R.parts[0]
+        offset = np.einsum("k,nkj->nj", t.center - r.center, frames)
+        values[forward] = lens_areas(t.radius, r.radius, np.sqrt((offset * offset).sum(axis=1)))
+    else:
+        st = [project_rings(p, frames, n_arc) for p in T.parts]
+        sr = [project_rings(p, frames, n_arc) for p in R.parts]
+        values[forward] = union_area([intersect_rings(a, b)[0] for a in st for b in sr])
+    return values
+
+
+def _shadow_values(T: Region, angles: np.ndarray, n_arc: int) -> np.ndarray:
+    """Shadow measure of the transmitter alone for a batch of directions."""
+    frames = direction_frames(angles)[1]
+    if T.dimension == 2:
+        lo, hi = zip(*(support_intervals(p, frames) for p in T.parts))
+        return union_length(np.stack(lo, axis=1), np.stack(hi, axis=1))
+    return union_area([project_rings(p, frames, n_arc) for p in T.parts])
+
+
+def _angles(region: Region, direction: Direction) -> np.ndarray:
+    if direction.is_3d != (region.dimension == 3):
+        raise ValueError("direction dimension does not match the regions")
+    return direction.angles
 
 
 def mutual_shadow_direction(T: Region, R: Region, direction: Direction, n_arc: int = 256) -> float:
@@ -181,77 +207,23 @@ def mutual_shadow_direction(T: Region, R: Region, direction: Direction, n_arc: i
     """
     if T.dimension != R.dimension:
         raise ValueError("regions must share the dimension")
-    return _mutual_value(T.parts, R.parts, T.centroids, R.centroids, direction, n_arc)
+    return float(_mutual_values(T, R, _angles(T, direction), n_arc)[0])
 
 
 def transmitter_shadow_direction(T: Region, direction: Direction, n_arc: int = 256) -> float:
     """Shadow measure of the transmitter alone (far-field receiver)."""
-    if T.dimension == 2:
-        return interval_union_length([project_shape_2d(p, direction) for p in T.parts])
-    shadows = [project_shape_3d(p, direction, n_arc) for p in T.parts]
-    if len(shadows) == 1:
-        return shadows[0].area
-    return polygon_union_area(shadows)
+    return float(_shadow_values(T, _angles(T, direction), n_arc)[0])
 
 
 # ---------------------------------------------------------------------------
 # Direction-quadrature totals
 
 
-def _evaluate(quad: DirectionQuadrature, fn, threads: int) -> tuple[float, np.ndarray]:
-    """Apply fn per direction and sum w*f in fixed index order (thread-safe)."""
-    values = np.empty(quad.n)
-    dirs = list(quad.directions())
-
-    def work(lo: int, hi: int):
-        for i in range(lo, hi):
-            values[i] = fn(dirs[i])
-
-    spans = [(lo, min(lo + _CHUNK, quad.n)) for lo in range(0, quad.n, _CHUNK)]
-    if threads <= 1 or len(spans) == 1:
-        for lo, hi in spans:
-            work(lo, hi)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(lambda s: work(*s), spans))
-    total = math.fsum(w * v for w, v in zip(quad.weights, values))
-    return total, values
-
-
-def _support_intervals_2d(part, phats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Projection interval bounds of one 2D shape for a whole direction batch."""
-    if isinstance(part, Segment):
-        p = np.stack([part.start, part.end]) @ phats.T
-        return p.min(axis=0), p.max(axis=0)
-    if isinstance(part, ConvexPolygon):
-        p = part.vertices @ phats.T
-        return p.min(axis=0), p.max(axis=0)
-    if isinstance(part, Disc):
-        c = part.center @ phats.T
-        return c - part.radius, c + part.radius
-    raise TypeError(f"not a 2D shape: {type(part).__name__}")
-
-
-def _fast_2d_values(T: Region, R: Region | None, quad: DirectionQuadrature) -> np.ndarray:
-    """Vectorized per-direction shadows for single-part 2D scenes."""
-    phis = quad.angles
-    phats = np.column_stack([-np.sin(phis), np.cos(phis)])
-    lo_t, hi_t = _support_intervals_2d(T.parts[0], phats)
-    if R is None:
-        return hi_t - lo_t
-    lo_r, hi_r = _support_intervals_2d(R.parts[0], phats)
-    khats = np.column_stack([np.cos(phis), np.sin(phis)])
-    kt = np.asarray(T.centroids[0]) @ khats.T
-    kr = np.asarray(R.centroids[0]) @ khats.T
-    overlap = np.minimum(hi_t, hi_r) - np.maximum(lo_t, lo_r)
-    return np.where((kt <= kr) & (overlap > 0.0), overlap, 0.0)
-
-
-def _fast_2d_applicable(region: Region | None) -> bool:
-    if region is None:
-        return True
-    return len(region.parts) == 1 and isinstance(
-        region.parts[0], (Segment, ConvexPolygon, Disc))
+def _integrate(quad: DirectionQuadrature, batch_values) -> tuple[float, np.ndarray]:
+    """Per-direction values in fixed-size batches and their weighted sum."""
+    values = np.concatenate([batch_values(quad.angles[lo:lo + _CHUNK])
+                             for lo in range(0, quad.n, _CHUNK)])
+    return math.fsum(quad.weights * values), values
 
 
 def scene_quadrature(T: Region, R: Region | None, n_directions: int = 4096,
@@ -274,37 +246,33 @@ def scene_quadrature(T: Region, R: Region | None, n_directions: int = 4096,
 def total_mutual_shadow(T: Region, R: Region, quad: DirectionQuadrature | None = None,
                         n_directions: int = 4096, n_theta: int = 128, n_phi: int = 256,
                         threads: int = 1, n_arc: int = 256) -> MutualShadowResult:
-    """Total mutual shadow L_TR (2D) or A_TR (3D) over a direction quadrature."""
+    """Total mutual shadow L_TR (2D) or A_TR (3D) over a direction quadrature.
+
+    ``threads`` has no effect: the directions are evaluated in vectorized
+    batches, so the result is the same for every thread count.
+    """
     if T.dimension != R.dimension:
         raise ValueError("regions must share the dimension")
     if quad is None:
         quad = scene_quadrature(T, R, n_directions, n_theta, n_phi)
     if (quad.dim == 2) != (T.dimension == 2):
         raise ValueError("quadrature dimension does not match the regions")
-    if quad.dim == 2 and _fast_2d_applicable(T) and _fast_2d_applicable(R):
-        values = _fast_2d_values(T, R, quad)
-        total = math.fsum(w * v for w, v in zip(quad.weights, values))
-    else:
-        t_parts, r_parts = T.parts, R.parts
-        t_cents, r_cents = T.centroids, R.centroids
-        total, values = _evaluate(
-            quad, lambda d: _mutual_value(t_parts, r_parts, t_cents, r_cents, d, n_arc),
-            threads)
+    total, values = _integrate(quad, lambda angles: _mutual_values(T, R, angles, n_arc))
     return MutualShadowResult(total, quad.angles, quad.weights, values, quad.dim, quad.rule)
 
 
 def total_shadow(T: Region, quad: DirectionQuadrature | None = None,
                  n_directions: int = 4096, n_theta: int = 128, n_phi: int = 256,
                  threads: int = 1, n_arc: int = 256) -> MutualShadowResult:
-    """Total transmitter shadow over a (possibly partial) far-field coverage."""
+    """Total transmitter shadow over a (possibly partial) far-field coverage.
+
+    ``threads`` has no effect, as in ``total_mutual_shadow``.
+    """
     if quad is None:
         quad = scene_quadrature(T, None, n_directions, n_theta, n_phi)
-    if quad.dim == 2 and T.dimension == 2 and _fast_2d_applicable(T):
-        values = _fast_2d_values(T, None, quad)
-        total = math.fsum(w * v for w, v in zip(quad.weights, values))
-    else:
-        total, values = _evaluate(
-            quad, lambda d: transmitter_shadow_direction(T, d, n_arc), threads)
+    if (quad.dim == 2) != (T.dimension == 2):
+        raise ValueError("quadrature dimension does not match the regions")
+    total, values = _integrate(quad, lambda angles: _shadow_values(T, angles, n_arc))
     return MutualShadowResult(total, quad.angles, quad.weights, values, quad.dim, quad.rule)
 
 
@@ -357,8 +325,7 @@ def shadow_area_two_spheres(a1: float, a2: float, h: float, n_theta: int = 2048)
     xs, ws = gauss_legendre(n_theta)
     theta = 0.5 * (theta1 + theta2) + 0.5 * (theta2 - theta1) * xs
     w = 0.5 * (theta2 - theta1) * ws
-    vals = np.array([circle_intersection_area(a1, a2, h * math.sin(t)) * math.sin(t)
-                     for t in theta])
+    vals = lens_areas(a1, a2, h * np.sin(theta)) * np.sin(theta)
     return contained + 2.0 * math.pi * float(w @ vals)
 
 
@@ -417,11 +384,8 @@ def mesh_mutual_shadow(T: Region, R: Region, xi_t: float | None = None,
         return float(vals.sum())
 
     spans = [(lo, min(lo + 128, ct.shape[0])) for lo in range(0, ct.shape[0], 128)]
-    if threads <= 1 or len(spans) == 1:
-        partials = [work(*s) for s in spans]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            partials = list(pool.map(lambda s: work(*s), spans))
+    with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
+        partials = list(pool.map(lambda s: work(*s), spans))
     return math.fsum(partials) / (xt * xr)
 
 
@@ -500,14 +464,10 @@ def _boundary_points(shape, n: int = 128) -> np.ndarray:
     if isinstance(shape, Segment):
         t = np.linspace(0.0, 1.0, n)[:, None]
         return shape.start[None, :] * (1 - t) + shape.end[None, :] * t
-    if isinstance(shape, ConvexPolygon):
+    if isinstance(shape, (ConvexPolygon, PlanarPolygon)):
         v = shape.vertices
-        pts = []
-        per_edge = max(2, n // v.shape[0])
-        for i in range(v.shape[0]):
-            t = np.linspace(0.0, 1.0, per_edge, endpoint=False)[:, None]
-            pts.append(v[i][None, :] * (1 - t) + v[(i + 1) % v.shape[0]][None, :] * t)
-        return np.vstack(pts)
+        t = np.linspace(0.0, 1.0, max(2, n // v.shape[0]), endpoint=False)[None, :, None]
+        return (v[:, None] * (1 - t) + np.roll(v, -1, axis=0)[:, None] * t).reshape(-1, v.shape[1])
     if isinstance(shape, Disc):
         t = 2 * np.pi * np.arange(n) / n
         return shape.center[None, :] + shape.radius * np.column_stack([np.cos(t), np.sin(t)])
@@ -522,23 +482,13 @@ def _boundary_points(shape, n: int = 128) -> np.ndarray:
             np.cos(tt).ravel(),
         ])
         return shape.center[None, :] + shape.radius * offs
-    if isinstance(shape, PlanarPolygon):
-        v = shape.vertices
-        pts = []
-        per_edge = max(2, n // v.shape[0])
-        for i in range(v.shape[0]):
-            t = np.linspace(0.0, 1.0, per_edge, endpoint=False)[:, None]
-            pts.append(v[i][None, :] * (1 - t) + v[(i + 1) % v.shape[0]][None, :] * t)
-        return np.vstack(pts)
     if isinstance(shape, TriangleMesh):
         return shape.vertices
     raise TypeError(f"not a shape: {type(shape).__name__}")
 
 
 def _point_inside(shape, pts: np.ndarray) -> np.ndarray:
-    if isinstance(shape, Disc):
-        return np.linalg.norm(pts - shape.center[None, :], axis=1) <= shape.radius
-    if isinstance(shape, Sphere):
+    if isinstance(shape, (Disc, Sphere)):
         return np.linalg.norm(pts - shape.center[None, :], axis=1) <= shape.radius
     if isinstance(shape, ConvexPolygon):
         return points_in_convex_polygon(pts, shape.vertices)

@@ -4,25 +4,31 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shadowdof.geometry import (
     ConvexPolygon,
     Direction,
     Disc,
     PlanarPolygon,
+    Rings,
     Segment,
     ShadowInterval,
     ShadowPolygon,
     Sphere,
     circle_intersection_area,
+    clip_rings,
     convex_polygon_intersection,
     interval_intersection,
     interval_union_length,
     mesh_plate,
+    mesh_sphere,
     polygon_area,
     polygon_union_area,
     project_shape_2d,
     project_shape_3d,
+    ring_areas,
 )
 from oracles import mc_lens_area, mc_polygon_intersection_area, random_convex_polygon
 
@@ -114,6 +120,8 @@ def test_interval_intersections():
 def test_interval_union_length():
     iv = lambda a, b: ShadowInterval(a, b)
     assert interval_union_length([iv(0, 1), iv(0.5, 2), iv(3, 4)]) == pytest.approx(3.0)
+    # an interval inside an earlier one adds nothing, and neither shortens the reach
+    assert interval_union_length([iv(1, 2), iv(0, 5), iv(3, 4)]) == pytest.approx(5.0)
     assert interval_union_length([]) == 0.0
 
 
@@ -159,6 +167,22 @@ def test_polygon_intersection_commutative_idempotent():
         assert ab <= min(a.area, b.area) + 1e-12
 
 
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.floats(0.2, 3.0), st.floats(-1.5, 1.5))
+def test_batched_clip_commutative_and_bounded(seed, n, scale, offset):
+    rng = np.random.default_rng(seed)
+    a = Rings.of([ShadowPolygon(random_convex_polygon(rng, int(rng.integers(3, 12)), scale))
+                  for _ in range(n)])
+    b = Rings.of([ShadowPolygon(random_convex_polygon(rng, int(rng.integers(3, 12)), 1.5,
+                                                      center=(offset, 0.3 * offset)))
+                  for _ in range(n)])
+    ab = clip_rings(a, b)[1]
+    ba = clip_rings(b, a)[1]
+    # the absolute floor is the clip's own emptiness threshold, 1e-12 scale**2
+    np.testing.assert_allclose(ab, ba, rtol=1e-12, atol=1e-11)
+    assert np.all(ab <= np.minimum(ring_areas(a.xy), ring_areas(b.xy)) * (1 + 1e-12))
+
+
 def test_polygon_union_area_inclusion_exclusion():
     # two half-overlapping squares: union = 2 - 0.5
     parts = [UNIT_SQUARE, square_at(0.5, 0.0)]
@@ -166,7 +190,8 @@ def test_polygon_union_area_inclusion_exclusion():
     # three stacked squares overlapping pairwise and triply
     parts = [UNIT_SQUARE, square_at(0.5, 0.0), square_at(0.25, 0.0)]
     assert polygon_union_area(parts) == pytest.approx(1.5, rel=1e-12)
-    # rasterization path (>8 parts): grid of touching squares
+    # nine squares in a row, each overlapping the next by 0.1: empty
+    # intersections prune the inclusion-exclusion tree
     many = [square_at(0.9 * i, 0.0) for i in range(9)]
     exact = 0.9 * 9 + 0.1
     assert polygon_union_area(many) == pytest.approx(exact, rel=5e-3)
@@ -233,6 +258,38 @@ def test_mesh_plate_area():
     mesh = mesh_plate([0, 0, 0], [1, 0, 0], [0, 1, 0], 0.25)
     assert mesh.areas.sum() == pytest.approx(1.0, rel=1e-12)
     assert mesh.crossings == 1.0
+
+
+def test_mesh_builders_match_loop_reference():
+    # index loops the vectorized builders must reproduce exactly
+    nu, nv = 4, 3
+    plate_tris = []
+    for i in range(nu):
+        for j in range(nv):
+            a, b = i * (nv + 1) + j, (i + 1) * (nv + 1) + j
+            plate_tris += [[a, b, a + 1], [b, b + 1, a + 1]]
+    plate = mesh_plate([0, 0, 0], [1, 0, 0], [0, 0.75, 0], 0.25)
+    np.testing.assert_array_equal(plate.triangles, plate_tris)
+
+    radius, n_theta, n_phi = 0.7, 5, 10
+    sphere = mesh_sphere([0.1, 0.0, 2.0], radius, 2 * np.pi * radius / n_phi)
+    verts, rows = [[0.0, 0.0, radius]], []
+    for th in np.pi * np.arange(1, n_theta) / n_theta:
+        rows.append(list(range(len(verts), len(verts) + n_phi)))
+        for j in range(n_phi):
+            ph = 2 * np.pi * j / n_phi
+            verts.append(radius * np.array([math.sin(th) * math.cos(ph),
+                                            math.sin(th) * math.sin(ph), math.cos(th)]))
+    verts.append([0.0, 0.0, -radius])
+    tris = [[0, rows[0][j], rows[0][(j + 1) % n_phi]] for j in range(n_phi)]
+    for i in range(len(rows) - 1):
+        for j in range(n_phi):
+            a, b = rows[i][j], rows[i][(j + 1) % n_phi]
+            c, d = rows[i + 1][j], rows[i + 1][(j + 1) % n_phi]
+            tris += [[a, c, b], [b, c, d]]
+    tris += [[len(verts) - 1, rows[-1][(j + 1) % n_phi], rows[-1][j]] for j in range(n_phi)]
+    np.testing.assert_array_equal(sphere.vertices, np.asarray(verts) + [0.1, 0.0, 2.0])
+    np.testing.assert_array_equal(sphere.triangles, tris)
 
 
 def test_shoelace_orientation():

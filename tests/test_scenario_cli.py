@@ -5,6 +5,7 @@ import math
 from pathlib import Path
 
 import pytest
+import yaml
 
 from shadowdof.cli import main, reproduce
 from shadowdof.errors import ScenarioError
@@ -192,6 +193,27 @@ def test_cli_validate_and_errors(tmp_path, capsys):
     assert rc == 1
     err = json.loads(capsys.readouterr().err)
     assert "error" in err
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("quadrature", "n_directions", 0),
+    ("quadrature", "n_theta", 0),
+    ("spectrum", "p_factor", -1),
+    ("spectrum", "power_iters", -2),
+    ("sampling", "delta_factor", float("nan")),
+])
+def test_cli_rejects_bad_numbers_at_load(tmp_path, capsys, section, key, value):
+    data = yaml.safe_load(TWO_LINES_YAML)
+    data.setdefault(section, {})[key] = value
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_text(yaml.safe_dump(data))
+    rc = main(["spectrum", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "ScenarioError" and key in err["message"]
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_rerun_byte_identical(tmp_path):

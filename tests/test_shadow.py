@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shadowdof.errors import OrderingUndefinedError, PanelsTooCloseError, SpheresOverlapError
 from shadowdof.geometry import (
+    ConvexPolygon,
     Direction,
     Disc,
     PlanarPolygon,
@@ -16,7 +19,7 @@ from shadowdof.geometry import (
     mesh_plate,
     mesh_sphere,
 )
-from shadowdof.quadrature import circle_quadrature
+from shadowdof.quadrature import circle_quadrature, sphere_quadrature
 from shadowdof.shadow import (
     Region,
     mesh_mutual_shadow,
@@ -131,6 +134,107 @@ def test_threaded_total_identical():
     a = total_mutual_shadow(t, r, n_directions=2048, threads=1).total
     b = total_mutual_shadow(t, r, n_directions=2048, threads=8).total
     assert a == b  # bitwise
+
+
+def plate(z=0.0, side=1.0, x0=0.0, y0=0.0):
+    return PlanarPolygon([[x0, y0, z], [x0 + side, y0, z], [x0 + side, y0 + side, z],
+                          [x0, y0 + side, z]], [0, 0, 1.0])
+
+
+# Each case exercises one kind of shadow value (interval overlap and union in
+# 2D; plate clip, ring clip, disc lens, multi-part union and mesh hull in 3D);
+# the totals are frozen from the earlier per-direction implementation.
+ENGINE_CASES = {
+    "plate-plate": (lambda: (Region((plate(0.0),)), Region((plate(1.0),)),
+                             {"n_theta": 96, "n_phi": 192}), 0.6276312153993083),
+    "plate-sphere-ring": (lambda: (Region((plate(0.0),)),
+                                   Region((Sphere([0.5, 0.5, 2.0], 0.4),)),
+                                   {"n_theta": 48, "n_phi": 96}), 0.11830922599538067),
+    "sphere-sphere-lens": (lambda: (Region((Sphere([0, 0, 0], 1.0),)),
+                                    Region((Sphere([0, 0, 3.0], 0.7),)),
+                                    {"n_theta": 64, "n_phi": 16}), 0.5622361517172639),
+    "sphere-stack-union": (lambda: (Region((Sphere([0, 0, 0], 0.5), Sphere([0, 0, 1.5], 0.5))),
+                                    Region((Sphere([0, 0, 6.0], 0.5),)),
+                                    {"n_theta": 12, "n_phi": 24}), 0.014292501479972724),
+    "mesh-hull-plate": (lambda: (Region((mesh_plate([0, 0, 0], [1, 0, 0], [0, 1, 0], 0.25),)),
+                                 Region((plate(1.0),)),
+                                 {"n_theta": 24, "n_phi": 48}), 0.6250656298322486),
+    "plate-transmitter-only": (lambda: (Region((plate(0.0),)), None, {
+        "quad": sphere_quadrature(24, 48, phi_range=(0.3, 0.3 + math.pi / 2))}),
+        1.572951882559646),
+    "disc-stack-union-2d": (lambda: (Region((Disc([0, 0], 0.5), Disc([0, 1.5], 0.5))),
+                                     Region((Disc([0, 5.0], 0.5),)),
+                                     {"n_directions": 1024}), 0.28770733537146403),
+    "disc-triangle-2d": (lambda: (Region((Disc([0, 0], 0.5),)),
+                                  Region((ConvexPolygon([[-0.5, 2], [0.5, 2], [0, 3]]),)),
+                                  {"n_directions": 1024}), 0.48995732625372834),
+}
+
+
+@pytest.mark.parametrize("case", list(ENGINE_CASES))
+def test_engine_totals_and_single_directions(case):
+    build, expected = ENGINE_CASES[case]
+    t, r, kwargs = build()
+    msr = total_mutual_shadow(t, r, **kwargs) if r is not None else total_shadow(t, **kwargs)
+    assert msr.total == pytest.approx(expected, rel=1e-12)
+    # a one-direction call is the same computation as the batched total
+    pairs = list(msr.per_direction())
+    picks = set(np.linspace(0, len(pairs) - 1, 5).astype(int)) | {int(np.argmax(msr.values))}
+    for i in sorted(picks):
+        direction, value = pairs[i]
+        if r is None:
+            assert transmitter_shadow_direction(t, direction) == value
+        else:
+            assert mutual_shadow_direction(t, r, direction) == value
+
+
+# ---------------------------------------------------------------------------
+# Invariances of the 3D total (plate pairs at the 24x48 rule)
+
+N_THETA, N_PHI = 24, 48
+lengths = st.floats(0.3, 2.0)
+offsets = st.floats(-1.5, 1.5)
+
+
+def plate_pair(side_t, side_r, d, dx, dy):
+    return Region((plate(0.0, side_t),), "T"), Region((plate(d, side_r, dx, dy),), "R")
+
+
+def plate_total(t, r):
+    return total_mutual_shadow(t, r, n_theta=N_THETA, n_phi=N_PHI).total
+
+
+def moved(region, rot=np.eye(3), shift=np.zeros(3)):
+    return Region(tuple(PlanarPolygon(p.vertices @ rot.T + shift, rot @ p.normal)
+                        for p in region.parts), region.label)
+
+
+@settings(max_examples=20, deadline=None)
+@given(lengths, lengths, st.floats(0.2, 3.0), offsets, offsets)
+def test_total_symmetric_in_transmitter_and_receiver(side_t, side_r, d, dx, dy):
+    t, r = plate_pair(side_t, side_r, d, dx, dy)
+    assert plate_total(r, t) == pytest.approx(plate_total(t, r), rel=1e-12)
+
+
+@settings(max_examples=20, deadline=None)
+@given(lengths, lengths, st.floats(0.2, 3.0), offsets, offsets,
+       st.tuples(st.floats(-5, 5), st.floats(-5, 5), st.floats(-5, 5)))
+def test_total_invariant_under_translation(side_t, side_r, d, dx, dy, shift):
+    t, r = plate_pair(side_t, side_r, d, dx, dy)
+    moved_t, moved_r = (moved(x, shift=np.asarray(shift)) for x in (t, r))
+    assert plate_total(moved_t, moved_r) == pytest.approx(plate_total(t, r), rel=1e-12)
+
+
+@settings(max_examples=20, deadline=None)
+@given(lengths, lengths, st.floats(0.2, 3.0), offsets, offsets, st.integers(1, N_PHI - 1))
+def test_total_invariant_under_grid_rotation(side_t, side_r, d, dx, dy, k):
+    # a rotation about z by a multiple of the azimuth step maps the rule onto itself
+    t, r = plate_pair(side_t, side_r, d, dx, dy)
+    a = 2.0 * math.pi * k / N_PHI
+    rot = np.array([[math.cos(a), -math.sin(a), 0.0], [math.sin(a), math.cos(a), 0.0],
+                    [0.0, 0.0, 1.0]])
+    turned_t, turned_r = (moved(x, rot=rot) for x in (t, r))
+    assert plate_total(turned_t, turned_r) == pytest.approx(plate_total(t, r), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
