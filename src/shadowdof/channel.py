@@ -211,18 +211,14 @@ def green_dyadic_3d(r, rp, k: float) -> np.ndarray:
     with R the unit separation vector.  Rejected below kR = 1e-3 where the
     1/(kR)**3 terms cancel catastrophically.
     """
-    rv = np.asarray(r, dtype=float) - np.asarray(rp, dtype=float)
-    dist = float(np.linalg.norm(rv))
+    r = np.asarray(r, dtype=float)
+    rp = np.asarray(rp, dtype=float)
+    dist = float(np.linalg.norm(r - rp))
     if dist == 0.0:
         raise CoincidentPointsError("green_dyadic_3d at zero separation")
-    kr = k * dist
-    if kr < DYADIC_NEAR_FIELD_KR:
-        raise NearFieldCutoffError(f"kR = {kr:.3e} below the dyadic cutoff 1e-3")
-    rhat = rv / dist
-    g = np.exp(-1j * kr) / (4.0 * math.pi * dist)
-    a = 1.0 - 1j / kr - 1.0 / kr**2
-    b = -1.0 + 3j / kr + 3.0 / kr**2
-    return g * (a * np.eye(3) + b * np.outer(rhat, rhat))
+    if k * dist < DYADIC_NEAR_FIELD_KR:
+        raise NearFieldCutoffError(f"kR = {k * dist:.3e} below the dyadic cutoff 1e-3")
+    return _dyadic_block(r[None, :], rp[None, :], k)
 
 
 def _dyadic_block(rx: np.ndarray, tx: np.ndarray, k: float) -> np.ndarray:
@@ -335,23 +331,30 @@ class ChannelOperator:
     def n_cols(self) -> int:
         return self.shape[1]
 
-    def row_block(self, lo: int, hi: int) -> np.ndarray:
-        """Dense kernel rows [lo, hi); the single place kernels are evaluated."""
+    def row_block(self, lo: int, hi: int, src_lo: int = 0,
+                  src_hi: int | None = None) -> np.ndarray:
+        """Dense kernel rows [lo, hi) against transmit sources [src_lo, src_hi).
+
+        The single place kernels are evaluated.  The column span is given in
+        whole sources, so a dyadic or polarized block keeps all three dipole
+        columns of each source it holds.
+        """
+        tx = self.tx_points[src_lo:src_hi]
         if self.kind == "scalar2d":
-            dist = cdist(self.rx_points[lo:hi], self.tx_points)
+            dist = cdist(self.rx_points[lo:hi], tx)
             if np.any(dist == 0.0):
                 raise CoincidentPointsError("coincident transmit/receive points")
             return 0.25j * hankel2(0, self.k * dist)
         if self.kind == "scalar3d":
-            dist = cdist(self.rx_points[lo:hi], self.tx_points)
+            dist = cdist(self.rx_points[lo:hi], tx)
             if np.any(dist == 0.0):
                 raise CoincidentPointsError("coincident transmit/receive points")
             return np.exp(-1j * self.k * dist) / (4.0 * math.pi * dist)
         if self.kind == "dyadic3d":
             p_lo, p_hi = lo // 3, (hi + 2) // 3
-            block = _dyadic_block(self.rx_points[p_lo:p_hi], self.tx_points, self.k)
+            block = _dyadic_block(self.rx_points[p_lo:p_hi], tx, self.k)
             return block[lo - 3 * p_lo: hi - 3 * p_lo]
-        phase = np.exp(1j * self.k * (self._khats[lo:hi] @ self.tx_points.T))
+        phase = np.exp(1j * self.k * (self._khats[lo:hi] @ tx.T))
         if self._is_em_farfield():
             # columns ordered (source, dipole axis): e_p[beta] exp(j k khat.r_n)
             m = hi - lo

@@ -11,6 +11,7 @@ everything the CLI writes to disk.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass
 
@@ -34,7 +35,7 @@ from .shadow import (
     total_shadow,
     wavelength_for_ndof,
 )
-from .spectra import dense_spectrum, randomized_spectrum
+from .spectra import dense_entries, dense_spectrum, randomized_spectrum
 
 __all__ = ["FarFieldSpec", "ScenarioConfig", "load_scenario", "validate", "run_scenario"]
 
@@ -52,6 +53,12 @@ class FarFieldSpec:
     n_theta_ports: int = 32
     n_phi_ports: int = 64
     polarized: bool = False
+
+    def __post_init__(self):
+        for name in ("n_ports", "n_theta_ports", "n_phi_ports"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+                raise ScenarioError(f"{name} must be an integer >= 1, got {value!r}")
 
     def coverage(self) -> float:
         if self.dimension == 2:
@@ -158,7 +165,7 @@ def _build_farfield(spec: dict, dimension: int) -> FarFieldSpec:
         kwargs["theta_range"] = (float(lo), float(hi))
     for key in ("n_ports", "n_theta_ports", "n_phi_ports"):
         if key in spec:
-            kwargs[key] = int(spec[key])
+            kwargs[key] = spec[key]
     if "polarized" in spec:
         kwargs["polarized"] = bool(spec["polarized"])
     ff = FarFieldSpec(**kwargs)
@@ -268,9 +275,8 @@ def build_channel(config: ScenarioConfig, wavelength: float, threads: int = 1):
 def compute_spectrum(config: ScenarioConfig, op, n_a: float, method: str | None = None):
     """Dense or randomized spectrum per the configured method ('auto' picks by size)."""
     method = method or config.method
-    entries = op.n_rows * op.n_cols
     if method == "auto":
-        method = "dense" if entries <= DENSE_CAP_ENTRIES else "randomized"
+        method = "dense" if dense_entries(*op.shape) <= DENSE_CAP_ENTRIES else "randomized"
     if method == "dense":
         return dense_spectrum(op)
     p = int(math.ceil(config.p_factor * max(n_a, 1.0)))
@@ -353,12 +359,19 @@ def validate(config: ScenarioConfig) -> dict:
                     ff.n_theta_ports * ff.n_phi_ports * (2 if ff.polarized else 1))
             else:
                 n_r = _count_estimate(config.receiver, spacing)
+            # operator rows and columns: three per point for the dyadic
+            # kernel, three columns per source for polarized ports
+            if config.kernel == "dyadic3d":
+                n_t, n_r = 3 * n_t, 3 * n_r
+            elif config.is_farfield and config.receiver.polarized:
+                n_t *= 3
             estimates["n_t"] = n_t
             estimates["n_r"] = n_r
-            entries = n_t * n_r
+            entries = dense_entries(n_r, n_t)
             estimates["dense_bytes"] = entries * 16
             if entries > DENSE_CAP_ENTRIES:
-                msg = (f"dense path needs {entries} entries (cap {DENSE_CAP_ENTRIES}); "
+                msg = (f"dense route needs {entries} entries, the {min(n_r, n_t)}^2 Gram "
+                       f"matrix and one block (cap {DENSE_CAP_ENTRIES}); "
                        "use the randomized method")
                 if config.method == "dense":
                     violations.append(msg)

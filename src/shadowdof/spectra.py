@@ -1,4 +1,4 @@
-"""Channel spectra: dense and randomized SVD, effective and knee NDoF.
+"""Channel spectra: dense and randomized, effective and knee NDoF.
 
 The spectrum of a channel is reported as the squared singular values
 sigma_n of H (eigenvalues of H H^H), their normalization
@@ -8,6 +8,15 @@ zeta_n = sigma_n / sum(sigma), the effective NDoF
 
 and the knee NDoF N_k, the count of modes still on the plateau before the
 rapid decay.  zeta, N_e and N_k are invariant under rescaling of H.
+
+The dense spectrum never holds H.  It streams H in blocks of a fixed size
+and accumulates the Gram matrix of the smaller side, H H^H when
+N_R <= N_T and H^H H otherwise, whose eigenvalues are exactly sigma.
+Memory is m**2 entries for m = min(N_R, N_T) plus one block.  The price is
+an absolute accuracy floor: each eigenvalue is off by up to a few 1e-15
+sigma_1 (3.9e-15 against the SVD of a 512 x 79,563 far-field channel), so
+sigma_i is accurate to about that over sigma_i relative, values below about
+1e-13 sigma_1 are rounding noise, and negative ones are reported as 0.
 """
 
 from __future__ import annotations
@@ -16,13 +25,22 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import eigh
+from scipy.linalg.blas import zherk
 
 from .channel import DENSE_CAP_ENTRIES, ChannelOperator
 from .errors import AllZeroSpectrumError, TooLargeForDenseError
 
+# Extent of a dense-route block along the longer side.  On a 2-core Xeon with
+# OpenBLAS the 512 x 79,563 far-field spectrum took the same time with 256 or
+# 1024 columns per block on one BLAS thread, and half the time with 256 on
+# two; herk slows down on much narrower blocks (32 columns: +38 % at m = 2048).
+_BLOCK_SPAN = 256
+
 __all__ = [
     "SpectrumResult",
     "dense_spectrum",
+    "dense_entries",
     "randomized_spectrum",
     "effective_ndof",
     "knee_ndof",
@@ -94,20 +112,60 @@ def spectrum_from_sigma(sigma, method: str, seed: int | None = None) -> Spectrum
     return SpectrumResult(s, zeta, n_e, knee_ndof(zeta), method, seed)
 
 
-def _as_dense(h, cap: int) -> np.ndarray:
+def dense_entries(n_rows: int, n_cols: int) -> int:
+    """Complex entries the dense route holds: the smaller side's Gram matrix and one block."""
+    m = min(n_rows, n_cols)
+    return m * m + m * min(max(n_rows, n_cols), _BLOCK_SPAN)
+
+
+def _blocks(h):
+    """Blocks covering h in a fixed order: column blocks when N_R <= N_T, else row blocks.
+
+    A block spans all of the shorter side and up to _BLOCK_SPAN of the longer
+    one; column blocks of a channel operator are cut at whole transmit sources.
+    """
+    n_rows, n_cols = h.shape
     if isinstance(h, ChannelOperator):
-        return h.dense(cap)
-    m = np.asarray(h)
-    if m.size > cap:
-        raise TooLargeForDenseError(f"matrix with {m.size} entries exceeds the dense cap")
-    return m
+        take, n_src = h.row_block, h.tx_points.shape[0]
+    else:
+        take, n_src = (lambda lo, hi, s_lo, s_hi: h[lo:hi, s_lo:s_hi]), n_cols
+    if n_rows <= n_cols:
+        step = max(1, _BLOCK_SPAN // (n_cols // n_src))
+        return (take(0, n_rows, lo, min(lo + step, n_src)) for lo in range(0, n_src, step))
+    return (take(lo, min(lo + _BLOCK_SPAN, n_rows), 0, n_src)
+            for lo in range(0, n_rows, _BLOCK_SPAN))
 
 
 def dense_spectrum(h, cap: int = DENSE_CAP_ENTRIES) -> SpectrumResult:
-    """Full SVD spectrum of a channel operator or matrix."""
-    matrix = _as_dense(h, cap)
-    svals = np.linalg.svd(matrix, compute_uv=False)
-    return spectrum_from_sigma(svals**2, "dense")
+    """Exact spectrum of a channel operator or matrix from the smaller side's Gram matrix.
+
+    With m = min(N_R, N_T), accumulates G = sum B B^H over column blocks B
+    (N_R <= N_T) or G = sum B^H B over row blocks (otherwise), in a fixed
+    block order, and returns the eigenvalues of G.  H is never materialized:
+    the route holds m**2 entries plus one block of m x 256 and refuses
+    above ``cap`` of them (``dense_entries``).  Values below about
+    1e-13 sigma_1 are rounding noise; negative ones are reported as 0.
+    """
+    if not isinstance(h, ChannelOperator):
+        h = np.asarray(h)
+    n_rows, n_cols = h.shape
+    entries = dense_entries(n_rows, n_cols)
+    if entries > cap:
+        raise TooLargeForDenseError(
+            f"{n_rows} x {n_cols} needs {entries} Gram and block entries, "
+            f"above the dense cap of {cap}")
+    wide = n_rows <= n_cols
+    m = min(n_rows, n_cols)
+    gram = np.zeros((m, m), dtype=complex, order="F")
+    for block in _blocks(h):
+        # block.T is a Fortran view of the block, so herk needs no copy; it
+        # yields the conjugate of G, which has the same eigenvalues.
+        gram = zherk(1.0, block.T, beta=1.0, c=gram, trans=2 if wide else 0, overwrite_c=1)
+    # LAPACK's zheevd on G's upper triangle, as np.linalg.eigvalsh(G, "U") calls
+    # it, but in place: numpy would first copy G
+    values = eigh(gram, lower=False, eigvals_only=True, overwrite_a=True, check_finite=False,
+                  driver="evd")
+    return spectrum_from_sigma(np.maximum(values, 0.0)[::-1], "dense")
 
 
 def randomized_spectrum(h, p: int, seed: int, power_iters: int = 1) -> SpectrumResult:

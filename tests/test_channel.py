@@ -273,6 +273,22 @@ def test_dyadic_channel_blocks():
     assert np.allclose(dense[:3, :3], block, rtol=1e-13)
 
 
+def test_row_block_source_span():
+    k = 4.0
+    step = 2 * math.pi / k / 5
+    st = sample_region(Region((Sphere([0, 0, 0], 0.6),), "T"), step)
+    sr = sample_region(Region((Sphere([0, 0, 3.0], 0.6),), "R"), step)
+    ports = ports_from_quadrature(sphere_quadrature(4, 8), polarized=True)
+    for op in (assemble_channel(st, sr, k), assemble_channel(st, sr, k, kind="dyadic3d"),
+               assemble_channel(st, ports, k)):
+        dense = op.dense()
+        width = op.n_cols // st.count  # columns per source
+        for lo, hi, s_lo, s_hi in ((0, op.n_rows, 0, 5), (2, 7, 5, st.count), (1, 4, 3, 4)):
+            block = op.row_block(lo, hi, s_lo, s_hi)
+            assert block.shape == (hi - lo, width * (s_hi - s_lo))
+            assert np.allclose(block, dense[lo:hi, width * s_lo:width * s_hi], rtol=1e-14, atol=0)
+
+
 def test_dense_cap():
     op = _small_channel()
     with pytest.raises(TooLargeForDenseError):

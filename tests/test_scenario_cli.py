@@ -7,15 +7,20 @@ from pathlib import Path
 import pytest
 import yaml
 
+import shadowdof.scenario as scenario
+import shadowdof.spectra as spectra
 from shadowdof.cli import main, reproduce
 from shadowdof.errors import ScenarioError
 from shadowdof.scenario import (
     FarFieldSpec,
     ScenarioConfig,
+    build_channel,
+    compute_spectrum,
     load_scenario,
     run_scenario,
     validate,
 )
+from shadowdof.spectra import dense_entries
 from shadowdof.geometry import Disc, Segment
 from shadowdof.shadow import Region
 
@@ -33,6 +38,20 @@ receiver:
 target_ndof: 50
 spectrum: {method: dense, seed: 0}
 quadrature: {n_directions: 2048}
+"""
+
+
+DISC_FARFIELD_YAML = """
+name: test-disc
+dimension: 2
+transmitter:
+  parts:
+    - {kind: disc, center: [0.0, 0.0], radius: 1.0}
+receiver:
+  farfield: {n_ports: 64}
+target_ndof: 10
+spectrum: {method: dense, seed: 0}
+quadrature: {n_directions: 256}
 """
 
 
@@ -93,6 +112,39 @@ def test_validate_dense_above_cap_warns():
     big_dense = dataclasses.replace(config, method="dense", target_ndof=20000.0)
     report = validate(big_dense)
     assert any("randomized" in v for v in report["violations"])
+
+
+def test_validate_counts_dense_route_memory():
+    report = validate(lines_config())
+    est = report["estimates"]
+    assert est["dense_bytes"] == 16 * dense_entries(est["n_r"], est["n_t"])
+
+
+@pytest.mark.parametrize("receiver, kernel", [
+    ({"parts": [{"kind": "sphere", "center": [0, 0, 3.0], "radius": 0.5}]}, "dyadic3d"),
+    ({"farfield": {"n_theta_ports": 8, "n_phi_ports": 16, "polarized": True}}, None),
+], ids=["dyadic", "polarized"])
+def test_validate_estimates_operator_shape(receiver, kernel):
+    data = {"name": "ball", "dimension": 3, "wavelength": 0.5, "kernel": kernel,
+            "transmitter": {"parts": [{"kind": "sphere", "center": [0, 0, 0], "radius": 0.5}]},
+            "receiver": receiver, "quadrature": {"n_theta": 24, "n_phi": 48}}
+    config = load_scenario(data)
+    est = validate(config)["estimates"]
+    op, _, _ = build_channel(config, 0.5)
+    assert est["n_r"] == pytest.approx(op.n_rows, rel=0.05)
+    assert est["n_t"] == pytest.approx(op.n_cols, rel=0.05)
+
+
+def test_auto_picks_dense_by_gram_entries(monkeypatch):
+    monkeypatch.setattr(spectra, "_BLOCK_SPAN", 7)
+    config = load_scenario(DISC_FARFIELD_YAML)
+    op, _, _ = build_channel(config, 0.4)
+    entries = dense_entries(*op.shape)
+    assert entries < op.n_rows * op.n_cols
+    monkeypatch.setattr(scenario, "DENSE_CAP_ENTRIES", entries)
+    assert compute_spectrum(config, op, 10.0, method="auto").method == "dense"
+    monkeypatch.setattr(scenario, "DENSE_CAP_ENTRIES", entries - 1)
+    assert compute_spectrum(config, op, 10.0, method="auto").method.startswith("randomized")
 
 
 # ---------------------------------------------------------------------------
@@ -213,6 +265,21 @@ def test_cli_rejects_bad_numbers_at_load(tmp_path, capsys, section, key, value):
     assert len(lines) == 1
     err = json.loads(lines[0])
     assert err["error"] == "ScenarioError" and key in err["message"]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("value", [0, -3, 40.7])
+def test_cli_rejects_bad_port_counts_at_load(tmp_path, capsys, value):
+    data = yaml.safe_load(DISC_FARFIELD_YAML)
+    data["receiver"]["farfield"]["n_ports"] = value
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_text(yaml.safe_dump(data))
+    rc = main(["spectrum", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "ScenarioError" and "n_ports" in err["message"]
     assert not (tmp_path / "out").exists()
 
 

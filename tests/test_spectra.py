@@ -1,10 +1,23 @@
-"""Spectrum extraction: dense SVD, the randomized sketch, N_e and N_k."""
+"""Spectrum extraction: the dense Gram route, the randomized sketch, N_e and N_k."""
+
+import math
 
 import numpy as np
 import pytest
 
-from shadowdof.errors import AllZeroSpectrumError
+from shadowdof import spectra
+from shadowdof.channel import (
+    ChannelOperator,
+    assemble_channel,
+    ports_from_quadrature,
+    sample_region,
+)
+from shadowdof.errors import AllZeroSpectrumError, TooLargeForDenseError
+from shadowdof.geometry import Disc, PlanarPolygon, Segment, Sphere
+from shadowdof.quadrature import circle_quadrature, sphere_quadrature
+from shadowdof.shadow import Region
 from shadowdof.spectra import (
+    dense_entries,
     dense_spectrum,
     effective_ndof,
     knee_ndof,
@@ -80,6 +93,85 @@ def test_scale_invariance():
     assert np.allclose(a.zeta, b.zeta, rtol=1e-12)
     assert a.n_effective == pytest.approx(b.n_effective, rel=1e-12)
     assert a.n_knee == b.n_knee
+
+
+# ---------------------------------------------------------------------------
+# The Gram route against the SVD
+
+
+def _gram_case(name):
+    """A channel operator (or matrix) of each shape and block kind the dense route streams."""
+    if name == "ndarray":
+        rng = np.random.default_rng(12)
+        u, _ = np.linalg.qr(rng.standard_normal((60, 60)) + 1j * rng.standard_normal((60, 60)))
+        v, _ = np.linalg.qr(rng.standard_normal((300, 60)) + 1j * rng.standard_normal((300, 60)))
+        return (u * np.logspace(0, -8, 60)) @ v.conj().T  # graded spectrum down to 1e-16
+    k2d = 2 * math.pi / 0.1
+    tx2d = sample_region(Region((Segment([-0.2, 0.0], [0.2, 0.0]),), "T"), 0.02)
+    if name == "wide-farfield":  # 96 x 1961
+        disc = sample_region(Region((Disc([0.0, 0.0], 0.5),), "T"), 0.02)
+        return assemble_channel(disc, ports_from_quadrature(circle_quadrature(96)), k2d)
+    if name == "tall-points":  # 151 x 21, N_R > N_T
+        rx = sample_region(Region((Segment([-1.5, 1.0], [1.5, 1.0]),), "R"), 0.02)
+        return assemble_channel(tx2d, rx, k2d)
+    if name == "square":  # 21 x 21
+        rx = sample_region(Region((Segment([-0.2, 1.0], [0.2, 1.0]),), "R"), 0.02)
+        return assemble_channel(tx2d, rx, k2d)
+    if name == "polarized":  # 144 x 5208, three columns per source
+        ball = sample_region(Region((Sphere([0, 0, 0], 0.3),), "T"), 0.04)
+        ports = ports_from_quadrature(sphere_quadrature(6, 12), polarized=True)
+        return assemble_channel(ball, ports, 2 * math.pi / 0.2)
+    k3d = 4.0
+    step = 2 * math.pi / k3d / 5
+    ball = sample_region(Region((Sphere([0, 0, 0], 0.6),), "T"), step)
+    square = PlanarPolygon([[-0.6, -0.6, 3], [0.6, -0.6, 3], [0.6, 0.6, 3], [-0.6, 0.6, 3]],
+                           [0, 0, 1.0])
+    plate = sample_region(Region((square,), "R"), step)
+    if name == "dyadic-wide":  # 48 x 81
+        return assemble_channel(ball, plate, k3d, kind="dyadic3d")
+    return assemble_channel(plate, ball, k3d, kind="dyadic3d")  # dyadic-tall, 81 x 48
+
+
+GRAM_CASES = ["wide-farfield", "tall-points", "square", "dyadic-wide", "dyadic-tall",
+              "polarized", "ndarray"]
+
+
+@pytest.mark.parametrize("block_span", [256, 7], ids=["default-blocks", "small-blocks"])
+@pytest.mark.parametrize("name", GRAM_CASES)
+def test_gram_route_matches_svd(name, block_span, monkeypatch):
+    h = _gram_case(name)
+    matrix = h.dense() if isinstance(h, ChannelOperator) else h
+    ref = spectrum_from_sigma(np.linalg.svd(matrix, compute_uv=False) ** 2, "dense")
+    monkeypatch.setattr(spectra, "_BLOCK_SPAN", block_span)
+    if isinstance(h, ChannelOperator):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the dense route materialized the operator")
+
+        monkeypatch.setattr(ChannelOperator, "dense", refuse)
+    spec = dense_spectrum(h)
+    assert spec.method == "dense"
+    assert spec.n_values == min(matrix.shape)
+    top = ref.sigma[0]
+    assert np.all(np.abs(spec.sigma - ref.sigma) <= 1e-12 * top)
+    # the absolute floor (about 1e-14 sigma_1 here) makes values near the top
+    # relatively exact; far below it only the absolute bound holds
+    upper = ref.sigma >= 1e-3 * top
+    assert np.all(np.abs(spec.sigma[upper] - ref.sigma[upper]) <= 1e-10 * ref.sigma[upper])
+    assert spec.n_effective == pytest.approx(ref.n_effective, rel=1e-12)
+    assert spec.n_knee == ref.n_knee
+
+
+def test_gram_route_cap_counts_gram_and_block(monkeypatch):
+    monkeypatch.setattr(spectra, "_BLOCK_SPAN", 7)
+    op = _gram_case("wide-farfield")
+    n_rows, n_cols = op.shape
+    entries = dense_entries(n_rows, n_cols)
+    assert entries == n_rows**2 + 7 * n_rows < n_rows * n_cols
+    assert dense_spectrum(op, cap=entries).n_values == n_rows
+    with pytest.raises(TooLargeForDenseError):
+        dense_spectrum(op, cap=entries - 1)
+    with pytest.raises(TooLargeForDenseError):
+        dense_spectrum(op.dense(), cap=entries - 1)
 
 
 # ---------------------------------------------------------------------------
