@@ -23,10 +23,8 @@ from .channel import (
     green_2d,
     green_3d,
     green_dyadic_3d,
-    load_channel_matrix,
     ports_from_quadrature,
     sample_region,
-    save_channel_matrix,
 )
 from .geometry import (
     ConvexPolygon,

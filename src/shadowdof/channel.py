@@ -5,15 +5,17 @@ spacing lambda/5, grids anchored at the bounding-box corner).  The channel
 maps transmit excitations to received field samples, either at receiver
 points through the scalar/dyadic Green's function or at far-field ports
 through the distance-free plane-wave factor exp(+j k khat.r) scaled by the
-square root of the port quadrature weight.  The operator applies itself
-and its adjoint in fixed-size row blocks, so results are independent of
-the worker thread count and dense materialization never has to happen.
+square root of the port quadrature weight.  Each channel kind has one
+block kernel, (receiver rows, transmit sources) -> block; the point Green's
+functions are 1x1 calls of the same kernels.  The operator applies itself
+and its adjoint over bounded row spans through one ordered map, so results
+are independent of the worker thread count and dense materialization never
+has to happen.
 """
 
 from __future__ import annotations
 
 import math
-import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -38,6 +40,7 @@ from .geometry import (
     Sphere,
     TriangleMesh,
     points_in_convex_polygon,
+    polygon_area,
 )
 from .quadrature import DirectionQuadrature
 from .shadow import Region
@@ -52,8 +55,7 @@ __all__ = [
     "green_dyadic_3d",
     "assemble_channel",
     "ports_from_quadrature",
-    "save_channel_matrix",
-    "load_channel_matrix",
+    "columns_per_source",
 ]
 
 DENSE_CAP_ENTRIES = 20_000 * 20_000  # complex128 entries (~6.4 GB)
@@ -61,6 +63,7 @@ DENSE_CAP_ENTRIES = 20_000 * 20_000  # complex128 entries (~6.4 GB)
 DYADIC_NEAR_FIELD_KR = 1e-3
 
 _BLOCK_ROWS = 512
+_BLOCK_ENTRIES = 2**21  # a row span's block holds at most this many entries
 
 _GRID_EPS = 1e-9
 
@@ -126,7 +129,7 @@ def _sample_shape(shape, step: float) -> np.ndarray:
         e1 = e1 / np.linalg.norm(e1)
         e2 = np.cross(shape.normal, e1)
         flat = np.column_stack([(v - v[0]) @ e1, (v - v[0]) @ e2])
-        if _ring_area(flat) < 0:
+        if polygon_area(flat) < 0:
             flat = flat[::-1]
         lo, hi = flat.min(axis=0), flat.max(axis=0)
         xs, ys = _grid_1d(lo[0], hi[0], step), _grid_1d(lo[1], hi[1], step)
@@ -158,11 +161,6 @@ def _sample_shape(shape, step: float) -> np.ndarray:
     raise TypeError(f"not a shape: {type(shape).__name__}")
 
 
-def _ring_area(flat: np.ndarray) -> float:
-    x, y = flat[:, 0], flat[:, 1]
-    return 0.5 * float(x @ np.roll(y, -1) - y @ np.roll(x, -1))
-
-
 def sample_region(region: Region, spacing: float) -> SampleSet:
     """Uniform grid of the given spacing intersected with the region."""
     if spacing <= 0:
@@ -184,41 +182,20 @@ def sample_region(region: Region, spacing: float) -> SampleSet:
 # Kernels
 
 
-def green_2d(r, rp, k: float) -> complex:
-    """2D free-space Green's function (j/4) H0^(2)(k |r - r'|).
-
-    The second-kind Hankel function follows from the exp(-jkR) outgoing
-    convention of the 3D kernel.
-    """
-    dist = float(np.linalg.norm(np.asarray(r, float) - np.asarray(rp, float)))
-    if dist == 0.0:
-        raise CoincidentPointsError("green_2d at zero separation")
-    return complex(0.25j * hankel2(0, k * dist))
+def _separations(rx: np.ndarray, tx: np.ndarray) -> np.ndarray:
+    dist = cdist(rx, tx)
+    if np.any(dist == 0.0):
+        raise CoincidentPointsError("coincident transmit/receive points")
+    return dist
 
 
-def green_3d(r, rp, k: float) -> complex:
-    """3D free-space Green's function exp(-j k R) / (4 pi R)."""
-    dist = float(np.linalg.norm(np.asarray(r, float) - np.asarray(rp, float)))
-    if dist == 0.0:
-        raise CoincidentPointsError("green_3d at zero separation")
-    return complex(np.exp(-1j * k * dist) / (4.0 * math.pi * dist))
+def _hankel_block(rx: np.ndarray, tx: np.ndarray, k: float) -> np.ndarray:
+    return 0.25j * hankel2(0, k * _separations(rx, tx))
 
 
-def green_dyadic_3d(r, rp, k: float) -> np.ndarray:
-    """Free-space dyadic (I + grad grad / k**2) G3 in closed form.
-
-    G = g(R) [ (1 - j/(kR) - 1/(kR)**2) I + (-1 + 3j/(kR) + 3/(kR)**2) RR ]
-    with R the unit separation vector.  Rejected below kR = 1e-3 where the
-    1/(kR)**3 terms cancel catastrophically.
-    """
-    r = np.asarray(r, dtype=float)
-    rp = np.asarray(rp, dtype=float)
-    dist = float(np.linalg.norm(r - rp))
-    if dist == 0.0:
-        raise CoincidentPointsError("green_dyadic_3d at zero separation")
-    if k * dist < DYADIC_NEAR_FIELD_KR:
-        raise NearFieldCutoffError(f"kR = {k * dist:.3e} below the dyadic cutoff 1e-3")
-    return _dyadic_block(r[None, :], rp[None, :], k)
+def _spherical_block(rx: np.ndarray, tx: np.ndarray, k: float) -> np.ndarray:
+    dist = _separations(rx, tx)
+    return np.exp(-1j * k * dist) / (4.0 * math.pi * dist)
 
 
 def _dyadic_block(rx: np.ndarray, tx: np.ndarray, k: float) -> np.ndarray:
@@ -239,6 +216,71 @@ def _dyadic_block(rx: np.ndarray, tx: np.ndarray, k: float) -> np.ndarray:
         out[..., i, i] += ga
     m, n = dist.shape
     return out.transpose(0, 2, 1, 3).reshape(3 * m, 3 * n)
+
+
+def _port_block(khat: np.ndarray, sqrtw: np.ndarray, tx: np.ndarray, k: float) -> np.ndarray:
+    return sqrtw[:, None] * np.exp(1j * k * (khat @ tx.T))
+
+
+def _polarized_port_block(khat: np.ndarray, sqrtw: np.ndarray, pol: np.ndarray,
+                          tx: np.ndarray, k: float) -> np.ndarray:
+    # columns ordered (source, dipole axis): e_p[beta] exp(j k khat.r_n)
+    phase = np.exp(1j * k * (khat @ tx.T))
+    rows = (pol[:, None, :] * phase[:, :, None]).reshape(khat.shape[0], -1)
+    return sqrtw[:, None] * rows
+
+
+# point-receiver kind -> its block kernel
+_POINT_KERNELS = {"scalar2d": _hankel_block, "scalar3d": _spherical_block,
+                  "dyadic3d": _dyadic_block}
+
+
+def columns_per_source(kind: str | None, polarized: bool = False) -> int:
+    """Operator columns per transmit point source.
+
+    Three, one per Cartesian dipole axis, for the dyadic kernel and for
+    polarized far-field ports; one for the scalar kinds.  A point receiver
+    has as many rows per point as a source has columns.
+    """
+    return 3 if kind == "dyadic3d" or polarized else 1
+
+
+def _pair(r, rp, name: str) -> tuple[np.ndarray, np.ndarray, float]:
+    r = np.asarray(r, dtype=float)
+    rp = np.asarray(rp, dtype=float)
+    dist = float(np.linalg.norm(r - rp))
+    if dist == 0.0:
+        raise CoincidentPointsError(f"{name} at zero separation")
+    return r[None, :], rp[None, :], dist
+
+
+def green_2d(r, rp, k: float) -> complex:
+    """2D free-space Green's function (j/4) H0^(2)(k |r - r'|).
+
+    The second-kind Hankel function follows from the exp(-jkR) outgoing
+    convention of the 3D kernel.
+    """
+    rx, tx, _ = _pair(r, rp, "green_2d")
+    return complex(_hankel_block(rx, tx, k)[0, 0])
+
+
+def green_3d(r, rp, k: float) -> complex:
+    """3D free-space Green's function exp(-j k R) / (4 pi R)."""
+    rx, tx, _ = _pair(r, rp, "green_3d")
+    return complex(_spherical_block(rx, tx, k)[0, 0])
+
+
+def green_dyadic_3d(r, rp, k: float) -> np.ndarray:
+    """Free-space dyadic (I + grad grad / k**2) G3 in closed form.
+
+    G = g(R) [ (1 - j/(kR) - 1/(kR)**2) I + (-1 + 3j/(kR) + 3/(kR)**2) RR ]
+    with R the unit separation vector.  Rejected below kR = 1e-3 where the
+    1/(kR)**3 terms cancel catastrophically.
+    """
+    rx, tx, dist = _pair(r, rp, "green_dyadic_3d")
+    if k * dist < DYADIC_NEAR_FIELD_KR:
+        raise NearFieldCutoffError(f"kR = {k * dist:.3e} below the dyadic cutoff 1e-3")
+    return _dyadic_block(rx, tx, k)
 
 
 # ---------------------------------------------------------------------------
@@ -287,41 +329,50 @@ class ChannelOperator:
     """Linear map from transmit excitations to received field samples.
 
     Rows are receiver samples (or far-field ports), columns transmit point
-    sources (three columns per source for dyadic kinds, one per Cartesian
-    dipole orientation).  apply/adjoint_apply evaluate kernel rows in fixed
-    512-row blocks, so no dense storage is required and results do not
+    sources (``columns_per_source``: three for the dyadic kernel and for
+    polarized ports, one per Cartesian dipole orientation).  Each kind has
+    one block kernel, chosen here, that ``row_block`` slices and calls.
+    apply, adjoint_apply, dense and frobenius_norm walk the same row spans,
+    each at most 512 rows and 2**21 entries, through one ordered map: the
+    builtin map at one thread, a thread pool above that, with results taken
+    in span order, so no dense storage is required and results do not
     depend on the number of worker threads.
     """
 
     def __init__(self, kind: str, k: float, tx_points: np.ndarray, receiver,
                  threads: int = 1):
+        if threads < 1:
+            raise ValueError(f"threads must be at least 1, got {threads}")
         self.kind = kind
         self.k = float(k)
         self.tx_points = np.asarray(tx_points, dtype=float)
-        self.threads = max(1, int(threads))
-        self._dense = None
+        self.threads = int(threads)
+        polarized = False
         if kind in ("farfield2d", "farfield3d"):
             self.ports = list(receiver)
             self.rx_points = None
-            n_rows = len(self.ports)
-            self._khats = np.array([p.direction.khat for p in self.ports])
-            self._sqrtw = np.array([math.sqrt(p.weight) for p in self.ports])
-            self._pols = None
-            if kind == "farfield3d" and any(p.polarization for p in self.ports):
+            khats = np.array([p.direction.khat for p in self.ports])
+            sqrtw = np.array([math.sqrt(p.weight) for p in self.ports])
+            polarized = kind == "farfield3d" and any(p.polarization for p in self.ports)
+            if polarized:
                 if not all(p.polarization for p in self.ports):
                     raise ValueError("mix of polarized and scalar ports")
-                self._pols = np.array([p.pol_vector() for p in self.ports])
-        elif kind in ("scalar2d", "scalar3d", "dyadic3d"):
+                pols = np.array([p.pol_vector() for p in self.ports])
+                self._kernel, self._receiver = _polarized_port_block, (khats, sqrtw, pols)
+            else:
+                self._kernel, self._receiver = _port_block, (khats, sqrtw)
+            rows_per_receiver = 1
+        elif kind in _POINT_KERNELS:
             self.rx_points = np.asarray(receiver, dtype=float)
             self.ports = None
-            n_rows = self.rx_points.shape[0] * (3 if kind == "dyadic3d" else 1)
+            self._kernel, self._receiver = _POINT_KERNELS[kind], (self.rx_points,)
+            rows_per_receiver = columns_per_source(kind)
         else:
             raise ValueError(f"unknown channel kind {kind!r}")
-        per_source = 3 if (kind == "dyadic3d" or self._is_em_farfield()) else 1
-        self.shape = (n_rows, self.tx_points.shape[0] * per_source)
-
-    def _is_em_farfield(self) -> bool:
-        return self.kind == "farfield3d" and getattr(self, "_pols", None) is not None
+        self.cols_per_source = columns_per_source(kind, polarized)
+        self._rows_per_receiver = rows_per_receiver
+        self.shape = (self._receiver[0].shape[0] * rows_per_receiver,
+                      self.tx_points.shape[0] * self.cols_per_source)
 
     @property
     def n_rows(self) -> int:
@@ -337,54 +388,37 @@ class ChannelOperator:
 
         The single place kernels are evaluated.  The column span is given in
         whole sources, so a dyadic or polarized block keeps all three dipole
-        columns of each source it holds.
+        columns of each source it holds; a dyadic row span is evaluated over
+        the receiver points it touches and cut to the rows asked for.
         """
-        tx = self.tx_points[src_lo:src_hi]
-        if self.kind == "scalar2d":
-            dist = cdist(self.rx_points[lo:hi], tx)
-            if np.any(dist == 0.0):
-                raise CoincidentPointsError("coincident transmit/receive points")
-            return 0.25j * hankel2(0, self.k * dist)
-        if self.kind == "scalar3d":
-            dist = cdist(self.rx_points[lo:hi], tx)
-            if np.any(dist == 0.0):
-                raise CoincidentPointsError("coincident transmit/receive points")
-            return np.exp(-1j * self.k * dist) / (4.0 * math.pi * dist)
-        if self.kind == "dyadic3d":
-            p_lo, p_hi = lo // 3, (hi + 2) // 3
-            block = _dyadic_block(self.rx_points[p_lo:p_hi], tx, self.k)
-            return block[lo - 3 * p_lo: hi - 3 * p_lo]
-        phase = np.exp(1j * self.k * (self._khats[lo:hi] @ tx.T))
-        if self._is_em_farfield():
-            # columns ordered (source, dipole axis): e_p[beta] exp(j k khat.r_n)
-            m = hi - lo
-            rows = (self._pols[lo:hi, None, :] * phase[:, :, None]).reshape(m, -1)
-            return self._sqrtw[lo:hi, None] * rows
-        return self._sqrtw[lo:hi, None] * phase
+        per = self._rows_per_receiver
+        r_lo, r_hi = lo // per, -(-hi // per)
+        rows = (a[r_lo:r_hi] for a in self._receiver)
+        block = self._kernel(*rows, self.tx_points[src_lo:src_hi], self.k)
+        return block[lo - per * r_lo: hi - per * r_lo]
 
-    def _spans(self):
-        return [(lo, min(lo + _BLOCK_ROWS, self.n_rows))
-                for lo in range(0, self.n_rows, _BLOCK_ROWS)]
+    def _spans(self) -> list[tuple[int, int]]:
+        step = min(_BLOCK_ROWS, max(1, _BLOCK_ENTRIES // max(1, self.n_cols)))
+        return [(lo, min(lo + step, self.n_rows)) for lo in range(0, self.n_rows, step)]
+
+    def _map_spans(self, work, spans):
+        """work(span) for each span, yielded in span order whatever the thread count."""
+        if self.threads == 1 or len(spans) == 1:
+            yield from map(work, spans)
+            return
+        with ThreadPoolExecutor(max_workers=self.threads) as pool:
+            yield from pool.map(work, spans)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """y = H x for a vector or a stack of column vectors."""
         x = np.asarray(x)
         if x.shape[0] != self.n_cols:
             raise ValueError(f"expected leading dimension {self.n_cols}, got {x.shape[0]}")
-        out_shape = (self.n_rows,) + x.shape[1:]
-        y = np.empty(out_shape, dtype=complex)
+        y = np.empty((self.n_rows,) + x.shape[1:], dtype=complex)
         spans = self._spans()
-
-        def work(span):
-            lo, hi = span
-            y[lo:hi] = self.row_block(lo, hi) @ x
-
-        if self.threads <= 1 or len(spans) == 1:
-            for s in spans:
-                work(s)
-        else:
-            with ThreadPoolExecutor(max_workers=self.threads) as pool:
-                list(pool.map(work, spans))
+        for (lo, hi), part in zip(spans, self._map_spans(
+                lambda span: self.row_block(*span) @ x, spans)):
+            y[lo:hi] = part
         return y
 
     def adjoint_apply(self, y: np.ndarray) -> np.ndarray:
@@ -392,35 +426,24 @@ class ChannelOperator:
         y = np.asarray(y)
         if y.shape[0] != self.n_rows:
             raise ValueError(f"expected leading dimension {self.n_rows}, got {y.shape[0]}")
-        spans = self._spans()
-
-        def work(span):
-            lo, hi = span
-            return self.row_block(lo, hi).conj().T @ y[lo:hi]
-
-        if self.threads <= 1 or len(spans) == 1:
-            partials = [work(s) for s in spans]
-        else:
-            with ThreadPoolExecutor(max_workers=self.threads) as pool:
-                partials = list(pool.map(work, spans))
         out = np.zeros((self.n_cols,) + y.shape[1:], dtype=complex)
-        for p in partials:  # fixed block order keeps the sum reproducible
-            out += p
+        for part in self._map_spans(  # span order keeps the sum reproducible
+                lambda span: self.row_block(*span).conj().T @ y[span[0]:span[1]],
+                self._spans()):
+            out += part
         return out
 
     def dense(self, cap: int = DENSE_CAP_ENTRIES) -> np.ndarray:
-        """Materialize the matrix (cached); refuses above the entry cap."""
-        if self._dense is None:
-            if self.n_rows * self.n_cols > cap:
-                raise TooLargeForDenseError(
-                    f"{self.n_rows} x {self.n_cols} exceeds the dense cap of {cap} entries")
-            self._dense = np.vstack([self.row_block(lo, hi) for lo, hi in self._spans()])
-        return self._dense
+        """Materialize the matrix; refuses above the entry cap."""
+        if self.n_rows * self.n_cols > cap:
+            raise TooLargeForDenseError(
+                f"{self.n_rows} x {self.n_cols} exceeds the dense cap of {cap} entries")
+        return np.vstack(list(self._map_spans(lambda span: self.row_block(*span),
+                                              self._spans())))
 
     def frobenius_norm(self) -> float:
-        total = math.fsum(
-            float(np.sum(np.abs(self.row_block(lo, hi)) ** 2)) for lo, hi in self._spans())
-        return math.sqrt(total)
+        return math.sqrt(math.fsum(self._map_spans(
+            lambda span: float(np.sum(np.abs(self.row_block(*span)) ** 2)), self._spans())))
 
 
 def assemble_channel(tx: SampleSet, receiver, k: float, kind: str | None = None,
@@ -456,37 +479,3 @@ def assemble_channel(tx: SampleSet, receiver, k: float, kind: str | None = None,
     if kind not in ("farfield2d", "farfield3d"):
         raise ValueError(f"kind {kind!r} incompatible with far-field ports")
     return ChannelOperator(kind, k, tx.points, ports, threads)
-
-
-# ---------------------------------------------------------------------------
-# Binary matrix export (debugging aid)
-
-_MAGIC = b"SDCM"
-
-
-def save_channel_matrix(path, matrix: np.ndarray) -> None:
-    """Write a dense matrix: 16-byte header (magic, rows, cols, bytes/entry), row-major LE."""
-    m = np.ascontiguousarray(matrix)
-    if m.dtype == np.complex64:
-        precision = 8
-    elif m.dtype == np.complex128:
-        precision = 16
-    else:
-        raise ValueError("matrix must be complex64 or complex128")
-    rows, cols = m.shape
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<III", rows, cols, precision))
-        fh.write(m.astype(m.dtype.newbyteorder("<"), copy=False).tobytes(order="C"))
-
-
-def load_channel_matrix(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _MAGIC:
-            raise ValueError("not a channel matrix file")
-        rows, cols, precision = struct.unpack("<III", fh.read(12))
-        dtype = np.dtype("<c8") if precision == 8 else np.dtype("<c16")
-        data = np.frombuffer(fh.read(), dtype=dtype)
-    return data.reshape(rows, cols).astype(
-        np.complex64 if precision == 8 else np.complex128)

@@ -115,8 +115,8 @@ def write_summary_json(path, summary: dict) -> Path:
 # Subcommand implementations
 
 
-def _cmd_shadow(config: ScenarioConfig, out: Path, fmt: str, threads: int) -> int:
-    msr = compute_shadow(config, threads=threads)
+def _cmd_shadow(config: ScenarioConfig, out: Path, fmt: str) -> int:
+    msr = compute_shadow(config)
     summary = {"name": config.name, "dimension": config.dimension,
                "shadow_total": msr.total if msr else 0.0,
                "n_directions": msr.n_directions if msr else 0}
@@ -130,8 +130,8 @@ def _cmd_shadow(config: ScenarioConfig, out: Path, fmt: str, threads: int) -> in
     return 0
 
 
-def _cmd_ndof(config: ScenarioConfig, out: Path, fmt: str, threads: int) -> int:
-    msr = compute_shadow(config, threads=threads)
+def _cmd_ndof(config: ScenarioConfig, out: Path, fmt: str) -> int:
+    msr = compute_shadow(config)
     total = msr.total if msr is not None else 0.0
     summary = {"name": config.name, "dimension": config.dimension,
                "model": config.model, "shadow_total": total}
@@ -160,7 +160,7 @@ def _cmd_spectrum(config: ScenarioConfig, out: Path, fmt: str, threads: int,
 
 def _cmd_capacity(config: ScenarioConfig, out: Path, fmt: str, threads: int,
                   method: str | None, gammas, rho: float, export_modes: bool) -> int:
-    msr = compute_shadow(config, threads=threads)
+    msr = compute_shadow(config)
     total = msr.total if msr is not None else 0.0
     if total <= 0:
         raise ShadowDofError("zero total shadow: no channel to allocate power over")
@@ -300,7 +300,7 @@ def reproduce(figure_id: str, out_dir, na_list=None, threads: int = 1,
                 "rectangles": _rectangles_config(d),
             }
             for label, cfg in cases.items():
-                msr = compute_shadow(cfg, threads=threads)
+                msr = compute_shadow(cfg)
                 curves.setdefault(label, []).append((d, msr.total))
         for label, rows in curves.items():
             written.append(_write_rows(out / f"{label}.csv",
@@ -320,7 +320,7 @@ def reproduce(figure_id: str, out_dir, na_list=None, threads: int = 1,
                 # the 63 totals at 48x96 miss 0.1 %, the worst by 6.0 % (shifted
                 # pair, d/l = 10); every total up to d/l = 0.5 stays within 0.1 %
                 cfg = dataclasses.replace(cfg, n_theta=48, n_phi=96)
-                msr = compute_shadow(cfg, threads=threads)
+                msr = compute_shadow(cfg)
                 rows.append((d, msr.total))
             written.append(_write_rows(out / f"{label}.csv",
                                        ["d_over_l", "area_over_l2"], rows, fmt))
@@ -414,6 +414,8 @@ def _load_config(args) -> ScenarioConfig:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if getattr(args, "threads", 1) < 1:
+            raise ValueError(f"--threads must be at least 1, got {args.threads}")
         if args.command == "reproduce":
             na_list = None
             if args.na:
@@ -427,9 +429,9 @@ def main(argv=None) -> int:
         config = _load_config(args)
         out = Path(args.out)
         if args.command == "shadow":
-            return _cmd_shadow(config, out, args.format, args.threads)
+            return _cmd_shadow(config, out, args.format)
         if args.command == "ndof":
-            return _cmd_ndof(config, out, args.format, args.threads)
+            return _cmd_ndof(config, out, args.format)
         if args.command == "spectrum":
             return _cmd_spectrum(config, out, args.format, args.threads, args.method)
         if args.command == "capacity":

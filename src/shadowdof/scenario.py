@@ -10,6 +10,7 @@ everything the CLI writes to disk.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import numbers
 import time
@@ -21,6 +22,7 @@ import yaml
 from .channel import (
     DENSE_CAP_ENTRIES,
     assemble_channel,
+    columns_per_source,
     ports_from_quadrature,
     sample_region,
 )
@@ -42,6 +44,11 @@ __all__ = ["FarFieldSpec", "ScenarioConfig", "load_scenario", "validate", "run_s
 TWO_PI = 2.0 * math.pi
 
 
+def _check_count(name: str, value, least: int) -> None:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ScenarioError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class FarFieldSpec:
     """Far-field receiver coverage: a circle arc (2D) or sphere sector (3D)."""
@@ -56,9 +63,7 @@ class FarFieldSpec:
 
     def __post_init__(self):
         for name in ("n_ports", "n_theta_ports", "n_phi_ports"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-                raise ScenarioError(f"{name} must be an integer >= 1, got {value!r}")
+            _check_count(name, getattr(self, name), 1)
 
     def coverage(self) -> float:
         if self.dimension == 2:
@@ -93,10 +98,10 @@ class ScenarioConfig:
             if value is not None and not (math.isfinite(value) and value > 0):
                 raise ScenarioError(f"{name} must be finite and positive")
         for name in ("n_directions", "n_theta", "n_phi"):
-            if getattr(self, name) < 1:
-                raise ScenarioError(f"{name} must be at least 1")
-        if self.power_iters < 0:
-            raise ScenarioError("power_iters must be nonnegative")
+            _check_count(name, getattr(self, name), 1)
+        _check_count("power_iters", self.power_iters, 0)
+        if self.seed is not None:
+            _check_count("seed", self.seed, 0)
         if self.method not in ("dense", "randomized", "auto"):
             raise ScenarioError("method must be dense, randomized, or auto")
         if self.method == "randomized" and self.seed is None:
@@ -218,11 +223,11 @@ def load_scenario(source) -> ScenarioConfig:
         ndof_model=data.get("ndof_model"),
         method=str(spectrum.get("method", "auto")),
         p_factor=float(spectrum.get("p_factor", 3.0)),
-        power_iters=int(spectrum.get("power_iters", 1)),
-        seed=int(spectrum.get("seed", 0)),
-        n_directions=int(quad.get("n_directions", 4096)),
-        n_theta=int(quad.get("n_theta", 128)),
-        n_phi=int(quad.get("n_phi", 256)),
+        power_iters=spectrum.get("power_iters", 1),
+        seed=spectrum.get("seed", 0),
+        n_directions=quad.get("n_directions", 4096),
+        n_theta=quad.get("n_theta", 128),
+        n_phi=quad.get("n_phi", 256),
     )
 
 
@@ -230,7 +235,7 @@ def load_scenario(source) -> ScenarioConfig:
 # Shadow and channel stages
 
 
-def compute_shadow(config: ScenarioConfig, threads: int = 1):
+def compute_shadow(config: ScenarioConfig):
     """Shadow result for the scenario (mutual, or transmitter-only for far field)."""
     t = config.transmitter
     if config.is_farfield:
@@ -243,9 +248,9 @@ def compute_shadow(config: ScenarioConfig, threads: int = 1):
         else:
             quad = sphere_quadrature(config.n_theta, config.n_phi,
                                      theta_range=ff.theta_range, phi_range=ff.phi_range)
-        return total_shadow(t, quad=quad, threads=threads)
+        return total_shadow(t, quad=quad)
     return total_mutual_shadow(t, config.receiver, n_directions=config.n_directions,
-                               n_theta=config.n_theta, n_phi=config.n_phi, threads=threads)
+                               n_theta=config.n_theta, n_phi=config.n_phi)
 
 
 def resolve_wavelength(config: ScenarioConfig, shadow_total: float) -> float:
@@ -292,7 +297,7 @@ def run_scenario(config: ScenarioConfig, threads: int = 1, method: str | None = 
     """
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
-    msr = compute_shadow(config, threads=threads)
+    msr = compute_shadow(config)
     timings["shadow_s"] = time.perf_counter() - t0
     total = msr.total if msr is not None else 0.0
     summary = {
@@ -346,25 +351,24 @@ def validate(config: ScenarioConfig) -> dict:
         if config.receiver.coverage() <= 0:
             warnings.append("empty far-field coverage: zero shadow, no channel")
     try:
-        quick = _quick_shadow_total(config)
+        coarse = compute_shadow(dataclasses.replace(config, n_directions=256, n_theta=24,
+                                                    n_phi=48))
+        quick = coarse.total if coarse is not None else 0.0
         estimates["shadow_total_coarse"] = quick
         if quick > 0:
             lam = resolve_wavelength(config, quick)
             estimates["wavelength"] = lam
             spacing = lam / config.delta_factor
-            n_t = _count_estimate(config.transmitter, spacing)
+            # operator rows and columns, not points
+            polarized = config.is_farfield and config.receiver.polarized
+            n_t = (columns_per_source(config.kernel, polarized)
+                   * _count_estimate(config.transmitter, spacing))
             if config.is_farfield:
                 ff = config.receiver
                 n_r = ff.n_ports if config.dimension == 2 else (
                     ff.n_theta_ports * ff.n_phi_ports * (2 if ff.polarized else 1))
             else:
-                n_r = _count_estimate(config.receiver, spacing)
-            # operator rows and columns: three per point for the dyadic
-            # kernel, three columns per source for polarized ports
-            if config.kernel == "dyadic3d":
-                n_t, n_r = 3 * n_t, 3 * n_r
-            elif config.is_farfield and config.receiver.polarized:
-                n_t *= 3
+                n_r = columns_per_source(config.kernel) * _count_estimate(config.receiver, spacing)
             estimates["n_t"] = n_t
             estimates["n_r"] = n_r
             entries = dense_entries(n_r, n_t)
@@ -382,23 +386,6 @@ def validate(config: ScenarioConfig) -> dict:
     except Exception as exc:  # static checks must not raise
         warnings.append(f"estimation failed: {exc}")
     return {"violations": violations, "warnings": warnings, "estimates": estimates}
-
-
-def _quick_shadow_total(config: ScenarioConfig) -> float:
-    t = config.transmitter
-    if config.is_farfield:
-        ff = config.receiver
-        if ff.coverage() <= 0:
-            return 0.0
-        if t.dimension == 2:
-            quad = scene_circle_quadrature(list(t.parts), 256, arc=ff.phi_range)
-        else:
-            quad = sphere_quadrature(24, 48, theta_range=ff.theta_range,
-                                     phi_range=ff.phi_range)
-        return total_shadow(t, quad=quad).total
-    if t.dimension == 2:
-        return total_mutual_shadow(t, config.receiver, n_directions=256).total
-    return total_mutual_shadow(t, config.receiver, n_theta=24, n_phi=48).total
 
 
 def _measure(region: Region) -> float:

@@ -366,6 +366,8 @@ def mesh_mutual_shadow(T: Region, R: Region, xi_t: float | None = None,
     once per boundary crossing, so the sum is divided by the crossing counts
     xi_T xi_R (2 for closed convex surfaces, 1 for planar patches).
     """
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
     ct, at, nt, dt = _gather_panels(T)
     cr, ar, nr, dr = _gather_panels(R)
     xt = _region_crossings(T, xi_t)
@@ -384,7 +386,7 @@ def mesh_mutual_shadow(T: Region, R: Region, xi_t: float | None = None,
         return float(vals.sum())
 
     spans = [(lo, min(lo + 128, ct.shape[0])) for lo in range(0, ct.shape[0], 128)]
-    with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
+    with ThreadPoolExecutor(max_workers=threads) as pool:
         partials = list(pool.map(lambda s: work(*s), spans))
     return math.fsum(partials) / (xt * xr)
 

@@ -126,11 +126,11 @@ def _blocks(h):
     """
     n_rows, n_cols = h.shape
     if isinstance(h, ChannelOperator):
-        take, n_src = h.row_block, h.tx_points.shape[0]
+        take, n_src, width = h.row_block, h.tx_points.shape[0], h.cols_per_source
     else:
-        take, n_src = (lambda lo, hi, s_lo, s_hi: h[lo:hi, s_lo:s_hi]), n_cols
+        take, n_src, width = (lambda lo, hi, s_lo, s_hi: h[lo:hi, s_lo:s_hi]), n_cols, 1
     if n_rows <= n_cols:
-        step = max(1, _BLOCK_SPAN // (n_cols // n_src))
+        step = max(1, _BLOCK_SPAN // width)
         return (take(0, n_rows, lo, min(lo + step, n_src)) for lo in range(0, n_src, step))
     return (take(lo, min(lo + _BLOCK_SPAN, n_rows), 0, n_src)
             for lo in range(0, n_rows, _BLOCK_SPAN))

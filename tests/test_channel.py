@@ -1,4 +1,4 @@
-"""Channel assembly: sampling, kernels, operator contracts, export."""
+"""Channel assembly: sampling, kernels, operator contracts."""
 
 import math
 
@@ -11,10 +11,8 @@ from shadowdof.channel import (
     green_2d,
     green_3d,
     green_dyadic_3d,
-    load_channel_matrix,
     ports_from_quadrature,
     sample_region,
-    save_channel_matrix,
 )
 from shadowdof.errors import (
     CoincidentPointsError,
@@ -202,6 +200,36 @@ def test_threaded_apply_identical():
     assert np.array_equal(op1.apply(x), op8.apply(x))
     y = rng.standard_normal(op1.n_rows) + 1j * rng.standard_normal(op1.n_rows)
     assert np.array_equal(op1.adjoint_apply(y), op8.adjoint_apply(y))
+    assert np.array_equal(op1.dense(), op8.dense())
+    assert op1.frobenius_norm() == op8.frobenius_norm()
+    for threads in (0, -3):
+        with pytest.raises(ValueError, match="threads"):
+            ChannelOperator(op1.kind, op1.k, op1.tx_points, op1.rx_points, threads=threads)
+
+
+def test_row_spans_bounded(monkeypatch):
+    rng = np.random.default_rng(5)
+    tx = rng.uniform(0.0, 1.0, (10_000, 3))
+    rx = rng.uniform(0.0, 1.0, (600, 3)) + [0.0, 0.0, 2.0]
+    op = ChannelOperator("scalar3d", 6.0, tx, rx)
+    sizes = []
+    row_block = ChannelOperator.row_block
+
+    def recording(self, *args):
+        block = row_block(self, *args)
+        sizes.append(block.size)
+        return block
+
+    monkeypatch.setattr(ChannelOperator, "row_block", recording)
+    x = rng.standard_normal(op.n_cols) + 1j * rng.standard_normal(op.n_cols)
+    y = rng.standard_normal(op.n_rows) + 1j * rng.standard_normal(op.n_rows)
+    hx, hy = op.apply(x), op.adjoint_apply(y)
+    op.frobenius_norm()
+    dense = op.dense()
+    assert sizes and max(sizes) <= 2**21
+    assert sum(sizes) == 4 * op.n_rows * op.n_cols
+    assert np.allclose(hx, dense @ x, rtol=1e-12, atol=0)
+    assert np.allclose(hy, dense.conj().T @ y, rtol=1e-12, atol=0)
 
 
 def test_regions_too_close():
@@ -260,6 +288,15 @@ def test_farfield_em_ports():
     assert abs(lhs - rhs) / (np.linalg.norm(x) * np.linalg.norm(y) * op.frobenius_norm()) < 1e-10
 
 
+def test_green_functions_are_one_by_one_row_blocks():
+    r, rp, k = [0.3, -0.2, 2.1], [0.1, 0.4, -0.3], 4.0
+    for kind, green in (("scalar3d", green_3d), ("dyadic3d", green_dyadic_3d)):
+        op = ChannelOperator(kind, k, [rp], [r])
+        assert np.array_equal(op.row_block(0, op.n_rows), np.atleast_2d(green(r, rp, k)))
+    op = ChannelOperator("scalar2d", k, [rp[:2]], [r[:2]])
+    assert op.row_block(0, 1)[0, 0] == green_2d(r[:2], rp[:2], k)
+
+
 def test_dyadic_channel_blocks():
     k = 4.0
     t = Region((Sphere([0, 0, 0], 0.3),), "T")
@@ -293,19 +330,6 @@ def test_dense_cap():
     op = _small_channel()
     with pytest.raises(TooLargeForDenseError):
         op.dense(cap=4)
-
-
-def test_binary_roundtrip(tmp_path):
-    rng = np.random.default_rng(9)
-    m = rng.standard_normal((5, 7)) + 1j * rng.standard_normal((5, 7))
-    path = tmp_path / "h.bin"
-    save_channel_matrix(path, m)
-    back = load_channel_matrix(path)
-    assert back.dtype == np.complex128
-    assert np.array_equal(back, m)
-    save_channel_matrix(path, m.astype(np.complex64))
-    assert np.array_equal(load_channel_matrix(path), m.astype(np.complex64))
-    assert path.stat().st_size == 16 + 5 * 7 * 8
 
 
 def test_mesh_region_per_triangle_sampling():

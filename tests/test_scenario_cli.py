@@ -253,6 +253,12 @@ def test_cli_validate_and_errors(tmp_path, capsys):
     ("spectrum", "p_factor", -1),
     ("spectrum", "power_iters", -2),
     ("sampling", "delta_factor", float("nan")),
+    ("quadrature", "n_directions", 40.7),
+    ("quadrature", "n_theta", 1.9),
+    ("quadrature", "n_phi", 2.5),
+    ("spectrum", "power_iters", 1.5),
+    ("spectrum", "seed", 3.5),
+    ("spectrum", "seed", -1),
 ])
 def test_cli_rejects_bad_numbers_at_load(tmp_path, capsys, section, key, value):
     data = yaml.safe_load(TWO_LINES_YAML)
@@ -280,6 +286,21 @@ def test_cli_rejects_bad_port_counts_at_load(tmp_path, capsys, value):
     assert len(lines) == 1
     err = json.loads(lines[0])
     assert err["error"] == "ScenarioError" and "n_ports" in err["message"]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["shadow", "ndof", "spectrum", "capacity", "reproduce"])
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_cli_rejects_threads_below_one(tmp_path, capsys, command, threads):
+    cfg = tmp_path / "lines.yaml"
+    cfg.write_text(TWO_LINES_YAML)
+    target = ["fig_spheres_paraxial"] if command == "reproduce" else ["--config", str(cfg)]
+    rc = main([command, *target, "--out", str(tmp_path / "out"), "--threads", threads])
+    assert rc == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "ValueError" and "--threads" in err["message"]
     assert not (tmp_path / "out").exists()
 
 

@@ -371,6 +371,8 @@ def test_mesh_threaded_identical():
     t = Region((mesh_disc([0, 0, 0], [0, 0, 1], a, a / 10),), "T")
     r = Region((mesh_disc([0, 0, d], [0, 0, 1], a, a / 10),), "R")
     assert mesh_mutual_shadow(t, r, threads=1) == mesh_mutual_shadow(t, r, threads=8)
+    with pytest.raises(ValueError, match="threads"):
+        mesh_mutual_shadow(t, r, threads=0)
 
 
 # ---------------------------------------------------------------------------
