@@ -54,6 +54,7 @@ __all__ = [
     "green_3d",
     "green_dyadic_3d",
     "assemble_channel",
+    "channel_kind",
     "ports_from_quadrature",
     "columns_per_source",
 ]
@@ -124,11 +125,7 @@ def _sample_shape(shape, step: float) -> np.ndarray:
         keep = np.linalg.norm(pts - shape.center[None, :], axis=1) <= shape.radius + 1e-12
         return pts[keep]
     if isinstance(shape, PlanarPolygon):
-        v = shape.vertices
-        e1 = v[1] - v[0]
-        e1 = e1 / np.linalg.norm(e1)
-        e2 = np.cross(shape.normal, e1)
-        flat = np.column_stack([(v - v[0]) @ e1, (v - v[0]) @ e2])
+        v, (e1, e2), flat = shape.vertices, shape.axes, shape.flat
         if polygon_area(flat) < 0:
             flat = flat[::-1]
         lo, hi = flat.min(axis=0), flat.max(axis=0)
@@ -170,11 +167,9 @@ def sample_region(region: Region, spacing: float) -> SampleSet:
     if pts.shape[0] == 0:
         raise EmptySamplingError(
             f"no sample point inside region {region.label!r} at spacing {spacing}")
-    # drop duplicates (shared part boundaries), keeping first occurrence
-    seen = {}
-    for i, row in enumerate(np.round(pts / (spacing * 1e-9)).astype(np.int64)):
-        seen.setdefault(row.tobytes(), i)
-    idx = sorted(seen.values())
+    # drop duplicates (shared part boundaries), keeping first occurrences in order
+    key = np.round(pts / (spacing * 1e-9)).astype(np.int64)
+    idx = np.sort(np.unique(key, axis=0, return_index=True)[1])
     return SampleSet(pts[idx], spacing)
 
 
@@ -464,18 +459,23 @@ def assemble_channel(tx: SampleSet, receiver, k: float, kind: str | None = None,
         if float(np.min(dist)) < min_gap * (1.0 - 1e-12):
             raise RegionsTooCloseError(
                 "transmit and receive samples closer than the sampling spacing")
-        if kind is None:
-            kind = "scalar2d" if tx.dimension == 2 else "scalar3d"
-        if kind not in ("scalar2d", "scalar3d", "dyadic3d"):
-            raise ValueError(f"kind {kind!r} incompatible with a point receiver")
-        if kind == "dyadic3d" and tx.dimension != 3:
-            raise ValueError("dyadic kernel needs 3D samples")
+        kind = channel_kind(kind, tx.dimension, farfield=False)
         return ChannelOperator(kind, k, tx.points, receiver.points, threads)
     ports = list(receiver)
     if not ports:
         raise ValueError("receiver needs at least one far-field port")
+    return ChannelOperator(channel_kind(kind, tx.dimension, farfield=True), k, tx.points,
+                           ports, threads)
+
+
+def channel_kind(kind: str | None, dimension: int, farfield: bool) -> str:
+    """The operator kind for a receiver type: the dimension's default, or ``kind`` checked."""
     if kind is None:
-        kind = "farfield2d" if tx.dimension == 2 else "farfield3d"
-    if kind not in ("farfield2d", "farfield3d"):
+        return ("farfield" if farfield else "scalar") + ("2d" if dimension == 2 else "3d")
+    if farfield and kind not in ("farfield2d", "farfield3d"):
         raise ValueError(f"kind {kind!r} incompatible with far-field ports")
-    return ChannelOperator(kind, k, tx.points, ports, threads)
+    if not farfield and kind not in ("scalar2d", "scalar3d", "dyadic3d"):
+        raise ValueError(f"kind {kind!r} incompatible with a point receiver")
+    if kind[-2:] != f"{dimension}d":
+        raise ValueError(f"kind {kind!r} needs {kind[-2:].upper()} samples")
+    return kind

@@ -30,8 +30,6 @@ __all__ = [
     "interval_intersection",
     "convex_polygon_intersection",
     "circle_intersection_area",
-    "interval_union_length",
-    "polygon_union_area",
     "convex_hull_2d",
     "polygon_area",
     "shape_centroid",
@@ -246,6 +244,10 @@ class Sphere:
 class PlanarPolygon:
     vertices: np.ndarray  # (m, 3), coplanar
     normal: np.ndarray  # unit plane normal
+    # in-plane frame: unit axes e1 (along the first edge) and e2 = normal x e1,
+    # and the vertices in those coordinates about vertices[0]
+    axes: tuple = field(init=False, repr=False)
+    flat: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         v = np.asarray(self.vertices, dtype=float)
@@ -269,6 +271,8 @@ class PlanarPolygon:
             raise ValueError("planar polygon must be strictly convex")
         object.__setattr__(self, "vertices", v)
         object.__setattr__(self, "normal", n)
+        object.__setattr__(self, "axes", (e1, e2))
+        object.__setattr__(self, "flat", flat)
 
     @property
     def dimension(self) -> int:
@@ -541,12 +545,6 @@ def union_length(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return np.cumsum(gain, axis=1)[:, -1]
 
 
-def interval_union_length(intervals) -> float:
-    """Total length of a union of intervals (exact sweep)."""
-    bounds = np.array([[iv.lo, iv.hi] for iv in intervals], dtype=float).reshape(1, -1, 2)
-    return float(union_length(bounds[..., 0], bounds[..., 1])[0]) if bounds.size else 0.0
-
-
 def intersect_rings(a: Rings, b: Rings) -> tuple[Rings, np.ndarray]:
     """Intersection rings and areas of two batches of convex rings.
 
@@ -573,12 +571,6 @@ def union_area(parts: list[Rings]) -> np.ndarray:
 
     return sum(terms(p, np.where(p.count > 0, ring_areas(p.xy), 0.0), i + 1, 1.0)
                for i, p in enumerate(parts))
-
-
-def polygon_union_area(polys) -> float:
-    """Area of a union of convex polygons (exact inclusion-exclusion)."""
-    parts = [Rings.of([p]) for p in polys]
-    return float(union_area(parts)[0]) if parts else 0.0
 
 
 def points_in_convex_polygon(points: np.ndarray, vertices: np.ndarray) -> np.ndarray:

@@ -22,14 +22,16 @@ import yaml
 from .channel import (
     DENSE_CAP_ENTRIES,
     assemble_channel,
+    channel_kind,
     columns_per_source,
     ports_from_quadrature,
     sample_region,
 )
 from .errors import ScenarioError
-from .geometry import ConvexPolygon, Disc, PlanarPolygon, Segment, Sphere
+from .geometry import ConvexPolygon, Disc, PlanarPolygon, Segment, Sphere, polygon_area
 from .quadrature import circle_quadrature, scene_circle_quadrature, sphere_quadrature
 from .shadow import (
+    NDOF_MODELS,
     Region,
     ndof_from_shadow,
     region_min_distance,
@@ -39,7 +41,8 @@ from .shadow import (
 )
 from .spectra import dense_entries, dense_spectrum, randomized_spectrum
 
-__all__ = ["FarFieldSpec", "ScenarioConfig", "load_scenario", "validate", "run_scenario"]
+__all__ = ["FarFieldSpec", "ScenarioConfig", "load_scenario", "validate", "run_scenario",
+           "shadow_summary"]
 
 TWO_PI = 2.0 * math.pi
 
@@ -47,6 +50,12 @@ TWO_PI = 2.0 * math.pi
 def _check_count(name: str, value, least: int) -> None:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
         raise ScenarioError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+def _check_positive(name: str, value) -> None:
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not (math.isfinite(value) and value > 0)):
+        raise ScenarioError(f"{name} must be finite and positive, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -94,9 +103,8 @@ class ScenarioConfig:
         if (self.wavelength is None) == (self.target_ndof is None):
             raise ScenarioError("exactly one of wavelength / target_ndof must be given")
         for name in ("wavelength", "target_ndof", "delta_factor", "p_factor"):
-            value = getattr(self, name)
-            if value is not None and not (math.isfinite(value) and value > 0):
-                raise ScenarioError(f"{name} must be finite and positive")
+            if getattr(self, name) is not None:
+                _check_positive(name, getattr(self, name))
         for name in ("n_directions", "n_theta", "n_phi"):
             _check_count(name, getattr(self, name), 1)
         _check_count("power_iters", self.power_iters, 0)
@@ -106,8 +114,14 @@ class ScenarioConfig:
             raise ScenarioError("method must be dense, randomized, or auto")
         if self.method == "randomized" and self.seed is None:
             raise ScenarioError("randomized spectra need a seed")
-        if self.ndof_model is not None:
-            object.__setattr__(self, "ndof_model", str(self.ndof_model))
+        models = [m for m in NDOF_MODELS if m.endswith(f"{self.dimension}d")]
+        if self.ndof_model is not None and self.ndof_model not in models:
+            raise ScenarioError(f"ndof_model must be one of {models} in {self.dimension}D, "
+                                f"got {self.ndof_model!r}")
+        try:
+            channel_kind(self.kernel, self.dimension, self.is_farfield)
+        except ValueError as exc:
+            raise ScenarioError(f"kernel {self.kernel!r}: {exc}") from exc
 
     @property
     def dimension(self) -> int:
@@ -126,6 +140,15 @@ class ScenarioConfig:
 
 # ---------------------------------------------------------------------------
 # YAML parsing
+
+
+def _mapping(value, what: str) -> dict:
+    """A config section as a dict; an absent section is empty."""
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise ScenarioError(f"{what} must be a mapping, got {value!r}")
+    return value
 
 
 def _build_shape(spec: dict):
@@ -150,24 +173,27 @@ def _build_shape(spec: dict):
     raise ScenarioError(f"unknown shape kind {kind!r}")
 
 
-def _build_region(spec: dict, label: str) -> Region:
-    parts = spec.get("parts")
+def _build_region(spec, label: str) -> Region:
+    parts = _mapping(spec, f"region {label!r}").get("parts")
     if not parts:
         raise ScenarioError(f"region {label!r} needs a parts list")
     try:
-        return Region(tuple(_build_shape(p) for p in parts), label)
+        return Region(tuple(_build_shape(_mapping(p, f"a part of region {label!r}"))
+                            for p in parts), label)
     except (ValueError, KeyError, TypeError) as exc:
         raise ScenarioError(f"invalid region {label!r}: {exc}") from exc
 
 
-def _build_farfield(spec: dict, dimension: int) -> FarFieldSpec:
+def _build_farfield(spec, dimension: int) -> FarFieldSpec:
+    spec = _mapping(spec, "farfield")
     kwargs: dict = {"dimension": dimension}
-    if "phi_range" in spec:
-        lo, hi = spec["phi_range"]
-        kwargs["phi_range"] = (float(lo), float(hi))
-    if "theta_range" in spec:
-        lo, hi = spec["theta_range"]
-        kwargs["theta_range"] = (float(lo), float(hi))
+    try:
+        for key in ("phi_range", "theta_range"):
+            if key in spec:
+                lo, hi = spec[key]
+                kwargs[key] = (float(lo), float(hi))
+    except (ValueError, TypeError) as exc:
+        raise ScenarioError(f"invalid far-field range: {exc}") from exc
     for key in ("n_ports", "n_theta_ports", "n_phi_ports"):
         if key in spec:
             kwargs[key] = spec[key]
@@ -180,7 +206,10 @@ def _build_farfield(spec: dict, dimension: int) -> FarFieldSpec:
 
 
 def load_scenario(source) -> ScenarioConfig:
-    """Build a ScenarioConfig from a YAML path, YAML text, or a dict."""
+    """Build a ScenarioConfig from a YAML path, YAML text, or a dict.
+
+    Every bad value raises one ScenarioError here, before any work runs.
+    """
     if isinstance(source, dict):
         data = source
     else:
@@ -191,12 +220,10 @@ def load_scenario(source) -> ScenarioConfig:
         except (OSError, TypeError):
             pass
         data = yaml.safe_load(text)
-    if not isinstance(data, dict):
-        raise ScenarioError("scenario must be a mapping")
-    try:
-        transmitter = _build_region(data["transmitter"], "T")
-    except KeyError as exc:
-        raise ScenarioError("scenario needs a transmitter") from exc
+    data = _mapping(data, "scenario")
+    if "transmitter" not in data:
+        raise ScenarioError("scenario needs a transmitter")
+    transmitter = _build_region(data["transmitter"], "T")
     recv_spec = data.get("receiver")
     if not isinstance(recv_spec, dict):
         raise ScenarioError("scenario needs a receiver")
@@ -207,22 +234,23 @@ def load_scenario(source) -> ScenarioConfig:
         if receiver.dimension != transmitter.dimension:
             raise ScenarioError("transmitter and receiver dimensions differ")
     declared_dim = data.get("dimension")
-    if declared_dim is not None and int(declared_dim) != transmitter.dimension:
-        raise ScenarioError("declared dimension does not match the geometry")
-    sampling = data.get("sampling", {}) or {}
-    spectrum = data.get("spectrum", {}) or {}
-    quad = data.get("quadrature", {}) or {}
+    if declared_dim is not None:
+        _check_count("dimension", declared_dim, 2)
+        if declared_dim != transmitter.dimension:
+            raise ScenarioError("declared dimension does not match the geometry")
+    sampling, spectrum, quad = (_mapping(data.get(key), key)
+                                for key in ("sampling", "spectrum", "quadrature"))
     return ScenarioConfig(
         name=str(data.get("name", "scenario")),
         transmitter=transmitter,
         receiver=receiver,
         wavelength=data.get("wavelength"),
         target_ndof=data.get("target_ndof"),
-        delta_factor=float(sampling.get("delta_factor", 5.0)),
+        delta_factor=sampling.get("delta_factor", 5.0),
         kernel=data.get("kernel"),
         ndof_model=data.get("ndof_model"),
         method=str(spectrum.get("method", "auto")),
-        p_factor=float(spectrum.get("p_factor", 3.0)),
+        p_factor=spectrum.get("p_factor", 3.0),
         power_iters=spectrum.get("power_iters", 1),
         seed=spectrum.get("seed", 0),
         n_directions=quad.get("n_directions", 4096),
@@ -251,12 +279,6 @@ def compute_shadow(config: ScenarioConfig):
         return total_shadow(t, quad=quad)
     return total_mutual_shadow(t, config.receiver, n_directions=config.n_directions,
                                n_theta=config.n_theta, n_phi=config.n_phi)
-
-
-def resolve_wavelength(config: ScenarioConfig, shadow_total: float) -> float:
-    if config.wavelength is not None:
-        return config.wavelength
-    return wavelength_for_ndof(shadow_total, config.target_ndof, config.model)
 
 
 def build_channel(config: ScenarioConfig, wavelength: float, threads: int = 1):
@@ -289,16 +311,12 @@ def compute_spectrum(config: ScenarioConfig, op, n_a: float, method: str | None 
     return randomized_spectrum(op, p, config.seed, config.power_iters)
 
 
-def run_scenario(config: ScenarioConfig, threads: int = 1, method: str | None = None):
-    """Full pipeline; returns (summary, shadow_result, spectrum_result).
+def shadow_summary(config: ScenarioConfig, msr) -> dict:
+    """The analytic estimate: shadow total -> wavelength -> N_a under each model.
 
-    With zero shadow (empty coverage or disjoint shadows everywhere) no
-    channel is built and the spectrum is None.
+    ``n_a`` is the configured model's value; with zero shadow it is 0 and
+    the wavelength is None.  Every command's ``summary.json`` starts here.
     """
-    timings: dict[str, float] = {}
-    t0 = time.perf_counter()
-    msr = compute_shadow(config)
-    timings["shadow_s"] = time.perf_counter() - t0
     total = msr.total if msr is not None else 0.0
     summary = {
         "name": config.name,
@@ -307,29 +325,42 @@ def run_scenario(config: ScenarioConfig, threads: int = 1, method: str | None = 
         "shadow_total": total,
         "n_directions": msr.n_directions if msr is not None else 0,
         "seed": config.seed,
+        "wavelength": None,
+        "n_a": 0.0,
     }
-    if total <= 0.0:
-        summary.update({"n_a": 0.0, "n_e": None, "n_k": None, "wavelength": None,
-                        "method": None, "n_t": 0, "n_r": 0, "timings": timings})
+    if total > 0.0:
+        wavelength = config.wavelength
+        if wavelength is None:
+            wavelength = wavelength_for_ndof(total, config.target_ndof, config.model)
+        summary["wavelength"] = wavelength
+        for model in ("scalar2d",) if config.dimension == 2 else ("scalar3d", "em3d"):
+            summary[f"n_a_{model}"] = ndof_from_shadow(total, wavelength, model).n_a
+        summary["n_a"] = ndof_from_shadow(total, wavelength, config.model).n_a
+    return summary
+
+
+def run_scenario(config: ScenarioConfig, threads: int = 1, method: str | None = None):
+    """Full pipeline; returns (summary, shadow_result, spectrum_result).
+
+    With zero shadow (empty coverage or disjoint shadows everywhere) no
+    channel is built and the spectrum is None.
+    """
+    t0 = time.perf_counter()
+    msr = compute_shadow(config)
+    timings = {"shadow_s": time.perf_counter() - t0}
+    summary = shadow_summary(config, msr)
+    summary.update({"n_e": None, "n_k": None, "method": None, "n_t": 0, "n_r": 0,
+                    "timings": timings})
+    if summary["wavelength"] is None:
         return summary, msr, None
-    wavelength = resolve_wavelength(config, total)
-    n_a = ndof_from_shadow(total, wavelength, config.model).n_a
     t1 = time.perf_counter()
-    op, tx, receiver = build_channel(config, wavelength, threads=threads)
+    op, tx, receiver = build_channel(config, summary["wavelength"], threads=threads)
     timings["assemble_s"] = time.perf_counter() - t1
     t2 = time.perf_counter()
-    spec = compute_spectrum(config, op, n_a, method=method)
+    spec = compute_spectrum(config, op, summary["n_a"], method=method)
     timings["spectrum_s"] = time.perf_counter() - t2
-    summary.update({
-        "wavelength": wavelength,
-        "n_a": n_a,
-        "n_e": spec.n_effective,
-        "n_k": spec.n_knee,
-        "method": spec.method,
-        "n_t": op.n_cols,
-        "n_r": op.n_rows,
-        "timings": timings,
-    })
+    summary.update({"n_e": spec.n_effective, "n_k": spec.n_knee, "method": spec.method,
+                    "n_t": op.n_cols, "n_r": op.n_rows})
     return summary, msr, spec
 
 
@@ -351,12 +382,11 @@ def validate(config: ScenarioConfig) -> dict:
         if config.receiver.coverage() <= 0:
             warnings.append("empty far-field coverage: zero shadow, no channel")
     try:
-        coarse = compute_shadow(dataclasses.replace(config, n_directions=256, n_theta=24,
-                                                    n_phi=48))
-        quick = coarse.total if coarse is not None else 0.0
-        estimates["shadow_total_coarse"] = quick
-        if quick > 0:
-            lam = resolve_wavelength(config, quick)
+        coarse = shadow_summary(config, compute_shadow(dataclasses.replace(
+            config, n_directions=256, n_theta=24, n_phi=48)))
+        estimates["shadow_total_coarse"] = coarse["shadow_total"]
+        lam = coarse["wavelength"]
+        if lam is not None:
             estimates["wavelength"] = lam
             spacing = lam / config.delta_factor
             # operator rows and columns, not points
@@ -396,18 +426,11 @@ def _measure(region: Region) -> float:
         elif isinstance(p, Disc):
             total += math.pi * p.radius**2
         elif isinstance(p, ConvexPolygon):
-            v = p.vertices
-            total += 0.5 * abs(float(v[:, 0] @ np.roll(v[:, 1], -1)
-                                     - v[:, 1] @ np.roll(v[:, 0], -1)))
+            total += abs(polygon_area(p.vertices))
         elif isinstance(p, Sphere):
             total += 4.0 / 3.0 * math.pi * p.radius**3
         elif isinstance(p, PlanarPolygon):
-            v = p.vertices - p.vertices.mean(axis=0)
-            area = 0.0
-            for i in range(v.shape[0]):
-                area += 0.5 * float(np.linalg.norm(
-                    np.cross(v[i], v[(i + 1) % v.shape[0]])))
-            total += area
+            total += abs(polygon_area(p.flat))
         else:
             total += float(np.sum(p.areas))
     return total

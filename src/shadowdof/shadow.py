@@ -53,7 +53,6 @@ __all__ = [
     "MutualShadowResult",
     "NdofEstimate",
     "mutual_shadow_direction",
-    "transmitter_shadow_direction",
     "total_mutual_shadow",
     "total_shadow",
     "shadow_length_two_lines",
@@ -210,11 +209,6 @@ def mutual_shadow_direction(T: Region, R: Region, direction: Direction, n_arc: i
     return float(_mutual_values(T, R, _angles(T, direction), n_arc)[0])
 
 
-def transmitter_shadow_direction(T: Region, direction: Direction, n_arc: int = 256) -> float:
-    """Shadow measure of the transmitter alone (far-field receiver)."""
-    return float(_shadow_values(T, _angles(T, direction), n_arc)[0])
-
-
 # ---------------------------------------------------------------------------
 # Direction-quadrature totals
 
@@ -227,20 +221,15 @@ def _integrate(quad: DirectionQuadrature, batch_values) -> tuple[float, np.ndarr
 
 
 def scene_quadrature(T: Region, R: Region | None, n_directions: int = 4096,
-                     n_theta: int = 128, n_phi: int = 256,
-                     arc=None) -> DirectionQuadrature:
+                     n_theta: int = 128, n_phi: int = 256) -> DirectionQuadrature:
     """Default direction rule for a scene, panelized at its shadow kinks."""
     shapes = list(T.parts) + (list(R.parts) if R is not None else [])
     if T.dimension == 2:
         pairs = []
         if R is not None:
             pairs = [(ct, cr) for ct in T.centroids for cr in R.centroids]
-        kwargs = {} if arc is None else {"arc": arc}
-        return scene_circle_quadrature(shapes, n_directions, perpendicular_pairs=pairs, **kwargs)
-    kwargs = {}
-    if arc is not None:
-        kwargs = {"theta_range": arc[0], "phi_range": arc[1]}
-    return scene_sphere_quadrature(shapes, n_theta, n_phi, **kwargs)
+        return scene_circle_quadrature(shapes, n_directions, perpendicular_pairs=pairs)
+    return scene_sphere_quadrature(shapes, n_theta, n_phi)
 
 
 def total_mutual_shadow(T: Region, R: Region, quad: DirectionQuadrature | None = None,

@@ -21,14 +21,14 @@ from shadowdof.geometry import (
     clip_rings,
     convex_polygon_intersection,
     interval_intersection,
-    interval_union_length,
     mesh_plate,
     mesh_sphere,
     polygon_area,
-    polygon_union_area,
     project_shape_2d,
     project_shape_3d,
     ring_areas,
+    union_area,
+    union_length,
 )
 from oracles import mc_lens_area, mc_polygon_intersection_area, random_convex_polygon
 
@@ -118,11 +118,15 @@ def test_interval_intersections():
 
 
 def test_interval_union_length():
-    iv = lambda a, b: ShadowInterval(a, b)
-    assert interval_union_length([iv(0, 1), iv(0.5, 2), iv(3, 4)]) == pytest.approx(3.0)
+    def union(*intervals):
+        bounds = np.array(intervals, dtype=float).reshape(1, -1, 2)
+        return float(union_length(bounds[..., 0], bounds[..., 1])[0])
+
+    assert union((0, 1), (0.5, 2), (3, 4)) == pytest.approx(3.0)
     # an interval inside an earlier one adds nothing, and neither shortens the reach
-    assert interval_union_length([iv(1, 2), iv(0, 5), iv(3, 4)]) == pytest.approx(5.0)
-    assert interval_union_length([]) == 0.0
+    assert union((1, 2), (0, 5), (3, 4)) == pytest.approx(5.0)
+    # an empty interval (hi <= lo) adds nothing
+    assert union((1, 1)) == 0.0 and union((2, 1)) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -181,6 +185,10 @@ def test_batched_clip_commutative_and_bounded(seed, n, scale, offset):
     # the absolute floor is the clip's own emptiness threshold, 1e-12 scale**2
     np.testing.assert_allclose(ab, ba, rtol=1e-12, atol=1e-11)
     assert np.all(ab <= np.minimum(ring_areas(a.xy), ring_areas(b.xy)) * (1 + 1e-12))
+
+
+def polygon_union_area(polys):
+    return float(union_area([Rings.of([p]) for p in polys])[0])
 
 
 def test_polygon_union_area_inclusion_exclusion():

@@ -7,9 +7,10 @@ from pathlib import Path
 import pytest
 import yaml
 
+import shadowdof.cli as cli
 import shadowdof.scenario as scenario
 import shadowdof.spectra as spectra
-from shadowdof.cli import main, reproduce
+from shadowdof.cli import FIGURE_IDS, main, reproduce
 from shadowdof.errors import ScenarioError
 from shadowdof.scenario import (
     FarFieldSpec,
@@ -259,10 +260,25 @@ def test_cli_validate_and_errors(tmp_path, capsys):
     ("spectrum", "power_iters", 1.5),
     ("spectrum", "seed", 3.5),
     ("spectrum", "seed", -1),
+    (None, "wavelength", "abc"),
+    (None, "target_ndof", [1]),
+    (None, "sampling", [1]),
+    (None, "dimension", 2.5),
+    (None, "dimension", "abc"),
+    ("spectrum", "p_factor", "abc"),
+    (None, "kernel", "unknown"),
+    (None, "kernel", "scalar3d"),
+    (None, "ndof_model", "unknown"),
+    (None, "ndof_model", "em3d"),
 ])
 def test_cli_rejects_bad_numbers_at_load(tmp_path, capsys, section, key, value):
     data = yaml.safe_load(TWO_LINES_YAML)
-    data.setdefault(section, {})[key] = value
+    if section is None:  # a top-level value
+        if key == "wavelength":
+            del data["target_ndof"]
+        data[key] = value
+    else:
+        data.setdefault(section, {})[key] = value
     cfg = tmp_path / "bad.yaml"
     cfg.write_text(yaml.safe_dump(data))
     rc = main(["spectrum", "--config", str(cfg), "--out", str(tmp_path / "out")])
@@ -304,6 +320,51 @@ def test_cli_rejects_threads_below_one(tmp_path, capsys, command, threads):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["capacity", "--rho", "0"],
+    ["capacity", "--rho", "-1"],
+    ["capacity", "--rho", "nan"],
+    ["capacity", "--gammas", "0.5,0"],
+    ["capacity", "--gammas", "1,inf"],
+    ["reproduce", "fig_lines_sweep", "--na", "5.2,5.7"],
+    ["reproduce", "fig_ideal_squares", "--na", "0"],
+], ids=lambda argv: " ".join(argv))
+def test_cli_rejects_bad_arguments_before_work(tmp_path, capsys, monkeypatch, argv):
+    def no_work(*args, **kwargs):
+        raise AssertionError("a bad argument reached the pipeline")
+
+    for name in ("compute_shadow", "run_scenario"):
+        monkeypatch.setattr(cli, name, no_work)
+    cfg = tmp_path / "lines.yaml"
+    cfg.write_text(TWO_LINES_YAML)
+    target = [] if argv[0] == "reproduce" else ["--config", str(cfg)]
+    rc = main([*argv, *target, "--out", str(tmp_path / "out")])
+    assert rc == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "ValueError"
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_summaries_carry_the_shadow_stage(tmp_path):
+    cfg = tmp_path / "lines.yaml"
+    cfg.write_text(TWO_LINES_YAML)
+    library, _, _ = run_scenario(load_scenario(TWO_LINES_YAML))
+    summaries = {}
+    for command in ("shadow", "ndof", "spectrum", "capacity"):
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / command)]) == 0
+        summaries[command] = json.loads((tmp_path / command / "summary.json").read_text())
+    for command, summary in summaries.items():
+        for key in ("name", "dimension", "shadow_total", "wavelength", "n_a", "n_a_scalar2d",
+                    "model", "seed", "n_directions"):
+            assert summary[key] == library[key], (command, key)
+    for key in ("n_e", "n_k", "method", "n_t", "n_r"):
+        assert summaries["capacity"][key] == summaries["spectrum"][key] == library[key]
+    assert set(summaries["capacity"]["timings"]) == {"shadow_s", "assemble_s", "spectrum_s"}
+    assert summaries["capacity"]["rho"] == 1.0
+    assert summaries["capacity"]["gammas"] == [0.5, 1.0, 10.0]
+
+
 def test_cli_rerun_byte_identical(tmp_path):
     cfg = tmp_path / "lines.yaml"
     cfg.write_text(TWO_LINES_YAML)
@@ -327,6 +388,33 @@ def test_reproduce_small_figures(tmp_path):
     assert len(files) == 4
     with pytest.raises(Exception):
         reproduce("fig_unknown", tmp_path)
+
+
+_ZETA_HEADER = "n_over_na,zeta_times_na"
+_FIGURE_FILES = {
+    "fig_ideal_squares": {"ideal_channel.csv": _ZETA_HEADER, "squares_na5.csv": _ZETA_HEADER},
+    "fig_waterfill": {"inverse_na5.csv": "n_over_na,inverse_zeta_na"},
+    "fig_cyl_coverage": {"cyl_full_na5.csv": _ZETA_HEADER, "cyl_quarter_na5.csv": _ZETA_HEADER},
+    "fig_lines_sweep": {f"lines_na5_d{d}.csv": _ZETA_HEADER for d in ("0.1", "0.5", "1.0", "5.0")},
+    "fig_geos_2d": {f"{label}.csv": "d_over_l,shadow_over_l" for label in (
+        "parallel", "rotated_20deg", "rotated_40deg", "rectangles")},
+    "fig_shadow_r2r": {f"{label}.csv": "d_over_l,area_over_l2"
+                       for label in ("parallel", "shifted", "rotated")},
+    "fig_spectra_r2r": {f"squares_na5_d{d}.csv": _ZETA_HEADER for d in ("0.5", "1.0", "2.0")},
+    "fig_spheres_paraxial": {f"ratio_{r}.csv": "h_over_sum_radii,area_over_paraxial"
+                             for r in ("1.0", "0.5", "0.25")},
+}
+
+
+def test_reproduce_every_figure_of_the_table(tmp_path):
+    assert set(FIGURE_IDS) == set(_FIGURE_FILES)
+    for figure_id, expected in _FIGURE_FILES.items():
+        files = reproduce(figure_id, tmp_path, na_list=[5])
+        assert [f.name for f in files] == list(expected), figure_id
+        assert sorted(p.name for p in (tmp_path / figure_id).iterdir()) == sorted(expected)
+        for f in files:
+            lines = f.read_text().splitlines()
+            assert lines[0] == expected[f.name] and len(lines) > 1, f
 
 
 def test_reproduce_geos_2d(tmp_path):
