@@ -302,12 +302,17 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="scenario YAML path")
         add_common(p)
         p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
+        return p
+
+    def add_channel(name):
+        p = add_scenario(name)
         p.add_argument("--method", choices=("dense", "randomized"), default=None)
         return p
 
-    for name in ("shadow", "ndof", "spectrum"):
+    for name in ("shadow", "ndof"):
         add_scenario(name)
-    cap = add_scenario("capacity")
+    add_channel("spectrum")
+    cap = add_channel("capacity")
     cap.add_argument("--gammas", default="0.5,1,10",
                      help="comma-separated SNR values")
     cap.add_argument("--rho", type=float, default=1.0,
@@ -338,6 +343,8 @@ def main(argv=None) -> int:
             raise ValueError(f"--threads must be at least 1, got {args.threads}")
         if args.command == "reproduce":
             na_list = _positive("--na", args.na.split(",")) if args.na else None
+            if na_list and not FIGURES[args.figure][0]:
+                raise ValueError(f"{args.figure} has no N_a to set; it takes no --na")
             reproduce(args.figure, args.out, na_list, args.threads, args.format)
             return 0
         if args.command == "capacity":

@@ -349,8 +349,8 @@ def run_scenario(config: ScenarioConfig, threads: int = 1, method: str | None = 
     msr = compute_shadow(config)
     timings = {"shadow_s": time.perf_counter() - t0}
     summary = shadow_summary(config, msr)
-    summary.update({"n_e": None, "n_k": None, "method": None, "n_t": 0, "n_r": 0,
-                    "timings": timings})
+    summary.update({"n_e": None, "n_k": None, "method": None, "route": None, "n_t": 0,
+                    "n_r": 0, "timings": timings})
     if summary["wavelength"] is None:
         return summary, msr, None
     t1 = time.perf_counter()
@@ -360,6 +360,7 @@ def run_scenario(config: ScenarioConfig, threads: int = 1, method: str | None = 
     spec = compute_spectrum(config, op, summary["n_a"], method=method)
     timings["spectrum_s"] = time.perf_counter() - t2
     summary.update({"n_e": spec.n_effective, "n_k": spec.n_knee, "method": spec.method,
+                    "route": "rows" if spec.method == "dense" else op.route,
                     "n_t": op.n_cols, "n_r": op.n_rows})
     return summary, msr, spec
 

@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from shadowdof import channel
 from shadowdof.channel import (
     ChannelOperator,
+    _lattice_of,
     assemble_channel,
     green_2d,
     green_3d,
@@ -21,7 +23,7 @@ from shadowdof.errors import (
     RegionsTooCloseError,
     TooLargeForDenseError,
 )
-from shadowdof.geometry import Disc, PlanarPolygon, Segment, Sphere
+from shadowdof.geometry import ConvexPolygon, Disc, PlanarPolygon, Segment, Sphere
 from shadowdof.quadrature import circle_quadrature, sphere_quadrature
 from shadowdof.shadow import Region
 from oracles import dyadic_fd, hankel2_0_asymptotic_abs, hankel2_0_series
@@ -192,16 +194,20 @@ def test_dense_matches_matrix_free():
     assert np.allclose(dense.conj().T @ y, op.adjoint_apply(y), rtol=1e-12)
 
 
-def test_threaded_apply_identical():
-    op1 = _small_channel()
-    op8 = ChannelOperator(op1.kind, op1.k, op1.tx_points, op1.rx_points, threads=8)
-    rng = np.random.default_rng(2)
-    x = rng.standard_normal((op1.n_cols, 3)) + 1j * rng.standard_normal((op1.n_cols, 3))
-    assert np.array_equal(op1.apply(x), op8.apply(x))
-    y = rng.standard_normal(op1.n_rows) + 1j * rng.standard_normal(op1.n_rows)
-    assert np.array_equal(op1.adjoint_apply(y), op8.adjoint_apply(y))
-    assert np.array_equal(op1.dense(), op8.dense())
-    assert op1.frobenius_norm() == op8.frobenius_norm()
+def test_threaded_apply_identical(monkeypatch):
+    monkeypatch.setattr(channel, "_BLOCK_ROWS", 16)  # several spans for the rows route's pool
+    plates = assemble_channel(_plate_samples([0, 0, 0], _H), _plate_samples([0, 0, 1], _H), _K)
+    for op1, threads, route in ((_small_channel(), 8, "lattice"), (plates, 2, "lattice"),
+                                (_fallback_random(), 8, "rows")):
+        opn = ChannelOperator(op1.kind, op1.k, op1.tx_points, op1.rx_points, threads=threads)
+        assert opn.route == op1.route == route
+        rng = np.random.default_rng(2)
+        x = rng.standard_normal((op1.n_cols, 3)) + 1j * rng.standard_normal((op1.n_cols, 3))
+        assert np.array_equal(op1.apply(x), opn.apply(x))
+        y = rng.standard_normal(op1.n_rows) + 1j * rng.standard_normal(op1.n_rows)
+        assert np.array_equal(op1.adjoint_apply(y), opn.adjoint_apply(y))
+        assert np.array_equal(op1.dense(), opn.dense())
+        assert op1.frobenius_norm() == opn.frobenius_norm()
     for threads in (0, -3):
         with pytest.raises(ValueError, match="threads"):
             ChannelOperator(op1.kind, op1.k, op1.tx_points, op1.rx_points, threads=threads)
@@ -230,6 +236,142 @@ def test_row_spans_bounded(monkeypatch):
     assert sum(sizes) == 4 * op.n_rows * op.n_cols
     assert np.allclose(hx, dense @ x, rtol=1e-12, atol=0)
     assert np.allclose(hy, dense.conj().T @ y, rtol=1e-12, atol=0)
+
+
+def _plate_samples(origin, step, u=(1.0, 0.0, 0.0), v=(0.0, 1.0, 0.0), side=1.0):
+    o, u, v = (np.asarray(a, dtype=float) for a in (origin, u, v))
+    u, v = side * u, side * v
+    plate = PlanarPolygon([o, o + u, o + u + v, o + v], np.cross(u, v) / side**2)
+    return sample_region(Region((plate,), "P"), step)
+
+
+def _samples(parts, step):
+    return sample_region(Region(tuple(parts), "P"), step)
+
+
+def _assert_matches_rows(op):
+    """apply and adjoint_apply against the matrix that row_block evaluates."""
+    dense = op.dense()
+    rng = np.random.default_rng(7)
+    x = rng.standard_normal((op.n_cols, 4)) + 1j * rng.standard_normal((op.n_cols, 4))
+    y = rng.standard_normal(op.n_rows) + 1j * rng.standard_normal(op.n_rows)
+    for got, want in ((op.apply(x), dense @ x), (op.adjoint_apply(y), dense.conj().T @ y)):
+        assert got.shape == want.shape
+        assert np.all(np.isfinite(got))
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+_K = 2 * math.pi / 0.25  # spacing lambda / 5 = 0.05
+_H = 0.05
+
+LATTICE_PAIRS = {
+    "parallel-segments": lambda: (_samples([Segment([-0.5, 0.0], [0.5, 0.0])], _H),
+                                  _samples([Segment([-0.2, 0.7], [0.4, 0.7])], _H)),
+    "discs": lambda: (_samples([Disc([0.0, 0.0], 0.5)], _H),
+                      _samples([Disc([0.3, 1.6], 0.4)], _H)),
+    "convex-polygons": lambda: (
+        _samples([ConvexPolygon([[0, 0], [1, 0], [0.6, 0.5], [0, 0.3]])], _H),
+        _samples([ConvexPolygon([[0.2, 1], [1.1, 1.2], [0.5, 1.6]])], _H)),
+    "parallel-plates": lambda: (_plate_samples([0, 0, 0], _H), _plate_samples([0, 0, 1], _H)),
+    "shifted-plates": lambda: (_plate_samples([0, 0, 0], _H),
+                               _plate_samples([0.37, 0.11, 1.03], _H, side=0.6)),
+    "spheres": lambda: (_samples([Sphere([0, 0, 0], 0.3)], _H),
+                        _samples([Sphere([0.1, 0.2, 1.0], 0.25)], _H)),
+}
+
+
+@pytest.mark.parametrize("name", list(LATTICE_PAIRS))
+def test_lattice_route_matches_rows(name):
+    tx, rx = LATTICE_PAIRS[name]()
+    op = assemble_channel(tx, rx, _K)
+    assert op.route == "lattice"
+    _assert_matches_rows(op)
+
+
+def test_lattice_route_at_published_scale():
+    # shifted plates at the spacing of N_a = 500 (141 x 141 points each, offsets
+    # up to 140 steps): the fitted steps keep the error at the kR rounding,
+    # where single nearest-neighbour differences drift past 1e-12
+    h = 1.0 / 140
+    op = assemble_channel(_plate_samples([0, 0, 0], h), _plate_samples([0.37, 0.11, 1.03], h),
+                          2 * math.pi / (5 * h))
+    assert op.route == "lattice"
+    rng = np.random.default_rng(8)
+    x = rng.standard_normal(op.n_cols) + 1j * rng.standard_normal(op.n_cols)
+    y = np.zeros(op.n_rows, dtype=complex)
+    y[-200:] = rng.standard_normal(200)
+    for got, want in ((op.apply(x)[:200], op.row_block(0, 200) @ x),
+                      (op.adjoint_apply(y), op.row_block(op.n_rows - 200, op.n_rows).conj().T
+                       @ y[-200:])):
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def _fallback_farfield():
+    ports = ports_from_quadrature(circle_quadrature(32))
+    return assemble_channel(_samples([Disc([0.0, 0.0], 0.5)], _H), ports, _K)
+
+
+def _fallback_random():
+    rng = np.random.default_rng(11)
+    return ChannelOperator("scalar3d", _K, rng.uniform(0, 1, (300, 3)),
+                           rng.uniform(0, 1, (200, 3)) + [0.0, 0.0, 2.0])
+
+
+FALLBACKS = {
+    "farfield-ports": _fallback_farfield,
+    "endfire-plates": lambda: assemble_channel(
+        _plate_samples([0, 0, 0], _H), _plate_samples([0, 0, 1], _H, v=(0.0, 0.0, 1.0)), _K),
+    "random-points": _fallback_random,
+    # the second disc's grid starts 1.03 from the first's, not a multiple of 0.05
+    "two-part-offset-grids": lambda: assemble_channel(
+        _samples([Disc([0.0, 0.0], 0.5), Disc([1.03, 0.0], 0.5)], _H),
+        _samples([Disc([0.3, 2.0], 0.4)], _H), _K),
+    "dyadic": lambda: assemble_channel(_samples([Sphere([0, 0, 0], 0.15)], _H),
+                                       _samples([Sphere([0.1, 0.2, 1.0], 0.1)], _H), _K,
+                                       kind="dyadic3d"),
+}
+
+
+@pytest.mark.parametrize("name", list(FALLBACKS))
+def test_lattice_fallbacks_stay_on_rows(name):
+    assert FALLBACKS[name]().route == "rows"
+
+
+def test_lattice_coincident_lattices():
+    # two triangles facing across the diagonal x + y = 1, both sampled on the
+    # grid of multiples of 0.1: the zero offset lies in the table's box, but no
+    # pair realises it
+    k, step = 2 * math.pi / 0.5, 0.1
+    tx = _samples([ConvexPolygon([[0.0, 0.0], [0.8, 0.0], [0.0, 0.8]])], step)
+    rx = _samples([ConvexPolygon([[1.0, 0.2], [1.0, 1.0], [0.2, 1.0]])], step)
+    lattice = _lattice_of(tx.points, rx.points)
+    zero = -lattice.offset @ np.linalg.pinv(lattice.steps)
+    assert np.allclose(zero, np.rint(zero), rtol=0, atol=1e-9)
+    assert np.all(zero > -lattice.tx_index.max(axis=0) - 1)
+    assert np.all(zero < lattice.rx_index.max(axis=0) + 1)
+    op = assemble_channel(tx, rx, k)
+    assert op.route == "lattice"
+    _assert_matches_rows(op)
+
+
+def test_lattice_coincident_pair_raises():
+    tx = np.array([[0.0, 0.0], [0.1, 0.0], [0.2, 0.0]])
+    op = ChannelOperator("scalar2d", 5.0, tx, tx + [0.2, 0.0])
+    with pytest.raises(CoincidentPointsError):
+        op.apply(np.ones(3))
+
+
+def test_lattice_table_built_on_first_apply(monkeypatch):
+    # dense spectra read row blocks only, so they never plan or build the table
+    op = _small_channel()
+    calls = []
+    monkeypatch.setattr(channel, "_lattice_of", lambda *a: calls.append(a) or None)
+    op.dense()
+    op.frobenius_norm()
+    assert calls == []
+    assert op.route == "rows" and len(calls) == 1
+    op.apply(np.ones(op.n_cols))
+    assert len(calls) == 1
 
 
 def test_regions_too_close():

@@ -173,6 +173,7 @@ def test_run_scenario_circle_farfield():
     # a / lambda = N_a / (4 pi)
     a_over_lambda = 1.0 / summary["wavelength"]
     assert a_over_lambda == pytest.approx(100.0 / (4 * math.pi), rel=1e-12)
+    assert summary["route"] == "rows"  # far-field ports have no lattice
 
 
 def test_run_scenario_empty_coverage():
@@ -328,6 +329,7 @@ def test_cli_rejects_threads_below_one(tmp_path, capsys, command, threads):
     ["capacity", "--gammas", "1,inf"],
     ["reproduce", "fig_lines_sweep", "--na", "5.2,5.7"],
     ["reproduce", "fig_ideal_squares", "--na", "0"],
+    ["reproduce", "fig_spheres_paraxial", "--na", "5.2,5.7"],
 ], ids=lambda argv: " ".join(argv))
 def test_cli_rejects_bad_arguments_before_work(tmp_path, capsys, monkeypatch, argv):
     def no_work(*args, **kwargs):
@@ -346,6 +348,17 @@ def test_cli_rejects_bad_arguments_before_work(tmp_path, capsys, monkeypatch, ar
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["shadow", "ndof"])
+def test_cli_method_only_for_channel_commands(tmp_path, command):
+    cfg = tmp_path / "lines.yaml"
+    cfg.write_text(TWO_LINES_YAML)
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", str(cfg), "--out", str(tmp_path / "out"),
+              "--method", "randomized"])
+    assert exc.value.code != 0
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_summaries_carry_the_shadow_stage(tmp_path):
     cfg = tmp_path / "lines.yaml"
     cfg.write_text(TWO_LINES_YAML)
@@ -358,8 +371,11 @@ def test_cli_summaries_carry_the_shadow_stage(tmp_path):
         for key in ("name", "dimension", "shadow_total", "wavelength", "n_a", "n_a_scalar2d",
                     "model", "seed", "n_directions"):
             assert summary[key] == library[key], (command, key)
-    for key in ("n_e", "n_k", "method", "n_t", "n_r"):
+    for key in ("n_e", "n_k", "method", "route", "n_t", "n_r"):
         assert summaries["capacity"][key] == summaries["spectrum"][key] == library[key]
+    assert library["route"] == "rows"  # a dense spectrum reads row blocks
+    sketched, _, _ = run_scenario(load_scenario(TWO_LINES_YAML), method="randomized")
+    assert sketched["route"] == "lattice"
     assert set(summaries["capacity"]["timings"]) == {"shadow_s", "assemble_s", "spectrum_s"}
     assert summaries["capacity"]["rho"] == 1.0
     assert summaries["capacity"]["gammas"] == [0.5, 1.0, 10.0]
