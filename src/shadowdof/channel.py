@@ -26,7 +26,6 @@ count, and dense materialization never has to happen.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -51,6 +50,7 @@ from .geometry import (
     Segment,
     Sphere,
     TriangleMesh,
+    ordered_map,
     points_in_convex_polygon,
     polygon_area,
 )
@@ -110,63 +110,47 @@ def _grid_1d(lo: float, hi: float, step: float) -> np.ndarray:
     return lo + step * np.arange(n + 1)
 
 
+def _box_lattice(lo: np.ndarray, hi: np.ndarray, step: float) -> np.ndarray:
+    """Grid points of the given step from corner lo up to hi, in any dimension."""
+    axes = np.meshgrid(*(_grid_1d(a, b, step) for a, b in zip(lo, hi)), indexing="ij")
+    return np.stack(axes, axis=-1).reshape(-1, len(axes))
+
+
+def _convex_piece(ring: np.ndarray, step: float, frame=None) -> np.ndarray:
+    """Grid points inside a flat convex CCW ring, mapped by frame = (origin, e1, e2) to 3D."""
+    pts = _box_lattice(ring.min(axis=0), ring.max(axis=0), step)
+    pts = pts[points_in_convex_polygon(pts, ring)]
+    if frame is None:
+        return pts
+    origin, e1, e2 = frame
+    return origin[None, :] + pts[:, 0:1] * e1[None, :] + pts[:, 1:2] * e2[None, :]
+
+
 def _sample_shape(shape, step: float) -> np.ndarray:
     if isinstance(shape, Segment):
         e = shape.end - shape.start
         length = float(np.linalg.norm(e))
         t = _grid_1d(0.0, length, step) / length
         return shape.start[None, :] + t[:, None] * e[None, :]
-    if isinstance(shape, Disc):
-        lo, hi = shape.center - shape.radius, shape.center + shape.radius
-        xs, ys = _grid_1d(lo[0], hi[0], step), _grid_1d(lo[1], hi[1], step)
-        gx, gy = np.meshgrid(xs, ys, indexing="ij")
-        pts = np.column_stack([gx.ravel(), gy.ravel()])
-        keep = np.linalg.norm(pts - shape.center[None, :], axis=1) <= shape.radius + 1e-12
-        return pts[keep]
+    if isinstance(shape, (Disc, Sphere)):
+        pts = _box_lattice(shape.center - shape.radius, shape.center + shape.radius, step)
+        return pts[np.linalg.norm(pts - shape.center[None, :], axis=1) <= shape.radius + 1e-12]
     if isinstance(shape, ConvexPolygon):
-        lo, hi = shape.vertices.min(axis=0), shape.vertices.max(axis=0)
-        xs, ys = _grid_1d(lo[0], hi[0], step), _grid_1d(lo[1], hi[1], step)
-        gx, gy = np.meshgrid(xs, ys, indexing="ij")
-        pts = np.column_stack([gx.ravel(), gy.ravel()])
-        return pts[points_in_convex_polygon(pts, shape.vertices)]
-    if isinstance(shape, Sphere):
-        lo, hi = shape.center - shape.radius, shape.center + shape.radius
-        axes = [_grid_1d(lo[i], hi[i], step) for i in range(3)]
-        gx, gy, gz = np.meshgrid(*axes, indexing="ij")
-        pts = np.column_stack([gx.ravel(), gy.ravel(), gz.ravel()])
-        keep = np.linalg.norm(pts - shape.center[None, :], axis=1) <= shape.radius + 1e-12
-        return pts[keep]
+        return _convex_piece(shape.vertices, step)
     if isinstance(shape, PlanarPolygon):
-        v, (e1, e2), flat = shape.vertices, shape.axes, shape.flat
-        if polygon_area(flat) < 0:
-            flat = flat[::-1]
-        lo, hi = flat.min(axis=0), flat.max(axis=0)
-        xs, ys = _grid_1d(lo[0], hi[0], step), _grid_1d(lo[1], hi[1], step)
-        gx, gy = np.meshgrid(xs, ys, indexing="ij")
-        pts2 = np.column_stack([gx.ravel(), gy.ravel()])
-        keep = points_in_convex_polygon(pts2, flat)
-        pts2 = pts2[keep]
-        return v[0][None, :] + pts2[:, 0:1] * e1[None, :] + pts2[:, 1:2] * e2[None, :]
+        flat = shape.flat if polygon_area(shape.flat) >= 0 else shape.flat[::-1]
+        return _convex_piece(flat, step, (shape.vertices[0], *shape.axes))
     if isinstance(shape, TriangleMesh):
-        chunks = []
-        tri_pts = shape.vertices[shape.triangles]
-        for a, b, c in tri_pts:
+        pieces = []
+        for a, b, c in shape.vertices[shape.triangles]:
             t1 = b - a
             n1 = float(np.linalg.norm(t1))
             t1 = t1 / n1
-            t2r = (c - a) - ((c - a) @ t1) * t1
-            n2 = float(np.linalg.norm(t2r))
-            t2 = t2r / n2
+            r2 = (c - a) - ((c - a) @ t1) * t1
+            n2 = float(np.linalg.norm(r2))
             flat = np.array([[0.0, 0.0], [n1, 0.0], [(c - a) @ t1, n2]])
-            lo, hi = flat.min(axis=0), flat.max(axis=0)
-            xs, ys = _grid_1d(lo[0], hi[0], step), _grid_1d(lo[1], hi[1], step)
-            gx, gy = np.meshgrid(xs, ys, indexing="ij")
-            pts2 = np.column_stack([gx.ravel(), gy.ravel()])
-            keep = points_in_convex_polygon(pts2, flat)
-            pts2 = pts2[keep]
-            if pts2.size:
-                chunks.append(a[None, :] + pts2[:, 0:1] * t1[None, :] + pts2[:, 1:2] * t2[None, :])
-        return np.vstack(chunks) if chunks else np.zeros((0, 3))
+            pieces.append(_convex_piece(flat, step, (a, t1, r2 / n2)))
+        return np.vstack(pieces)
     raise TypeError(f"not a shape: {type(shape).__name__}")
 
 
@@ -174,8 +158,7 @@ def sample_region(region: Region, spacing: float) -> SampleSet:
     """Uniform grid of the given spacing intersected with the region."""
     if spacing <= 0:
         raise ValueError("spacing must be positive")
-    chunks = [c for c in (_sample_shape(p, spacing) for p in region.parts) if c.size]
-    pts = np.vstack(chunks) if chunks else np.zeros((0, region.dimension))
+    pts = np.vstack([_sample_shape(p, spacing) for p in region.parts])
     if pts.shape[0] == 0:
         raise EmptySamplingError(
             f"no sample point inside region {region.label!r} at spacing {spacing}")
@@ -318,14 +301,9 @@ class FarFieldPort:
 
 def ports_from_quadrature(quad: DirectionQuadrature, polarized: bool = False) -> list[FarFieldPort]:
     """One scalar port per quadrature direction, or a theta/phi pair when polarized."""
-    ports = []
-    for d, w in zip(quad.directions(), quad.weights):
-        if polarized:
-            ports.append(FarFieldPort(d, float(w), "theta"))
-            ports.append(FarFieldPort(d, float(w), "phi"))
-        else:
-            ports.append(FarFieldPort(d, float(w)))
-    return ports
+    pols = ("theta", "phi") if polarized else (None,)
+    return [FarFieldPort(d, float(w), p) for d, w in zip(quad.directions(), quad.weights)
+            for p in pols]
 
 
 # ---------------------------------------------------------------------------
@@ -406,9 +384,8 @@ class ChannelOperator:
     polarized ports, one per Cartesian dipole orientation).  Each kind has
     one block kernel, chosen here, that ``row_block`` slices and calls.
     dense and frobenius_norm walk row spans, each at most 512 rows and 2**21
-    entries, through one ordered map: the builtin map at one thread, a
-    thread pool above that, with results taken in span order, so no dense
-    storage is required and results do not depend on the number of threads.
+    entries, through ``ordered_map`` with results taken in span order, so no
+    dense storage is required and results do not depend on the thread count.
 
     ``route`` says how apply and adjoint_apply run; it is planned on the
     first of the three, so operators that only give row blocks (dense
@@ -548,14 +525,6 @@ class ChannelOperator:
         step = min(_BLOCK_ROWS, max(1, _BLOCK_ENTRIES // max(1, self.n_cols)))
         return [(lo, min(lo + step, self.n_rows)) for lo in range(0, self.n_rows, step)]
 
-    def _map_spans(self, work, spans):
-        """work(span) for each span, yielded in span order whatever the thread count."""
-        if self.threads == 1 or len(spans) == 1:
-            yield from map(work, spans)
-            return
-        with ThreadPoolExecutor(max_workers=self.threads) as pool:
-            yield from pool.map(work, spans)
-
     def apply(self, x: np.ndarray) -> np.ndarray:
         """y = H x for a vector or a stack of column vectors."""
         x = np.asarray(x)
@@ -566,8 +535,8 @@ class ChannelOperator:
             return self._convolve(x, tx_at, rx_at, table_hat)
         y = np.empty((self.n_rows,) + x.shape[1:], dtype=complex)
         spans = self._spans()
-        for (lo, hi), part in zip(spans, self._map_spans(
-                lambda span: self.row_block(*span) @ x, spans)):
+        for (lo, hi), part in zip(spans, ordered_map(
+                lambda span: self.row_block(*span) @ x, spans, self.threads)):
             y[lo:hi] = part
         return y
 
@@ -580,9 +549,9 @@ class ChannelOperator:
             tx_at, rx_at, table_hat = self._lattice_table
             return self._convolve(y, rx_at, tx_at, table_hat.conj())
         out = np.zeros((self.n_cols,) + y.shape[1:], dtype=complex)
-        for part in self._map_spans(  # span order keeps the sum reproducible
+        for part in ordered_map(  # span order keeps the sum reproducible
                 lambda span: self.row_block(*span).conj().T @ y[span[0]:span[1]],
-                self._spans()):
+                self._spans(), self.threads):
             out += part
         return out
 
@@ -591,12 +560,13 @@ class ChannelOperator:
         if self.n_rows * self.n_cols > cap:
             raise TooLargeForDenseError(
                 f"{self.n_rows} x {self.n_cols} exceeds the dense cap of {cap} entries")
-        return np.vstack(list(self._map_spans(lambda span: self.row_block(*span),
-                                              self._spans())))
+        return np.vstack(list(ordered_map(lambda span: self.row_block(*span),
+                                          self._spans(), self.threads)))
 
     def frobenius_norm(self) -> float:
-        return math.sqrt(math.fsum(self._map_spans(
-            lambda span: float(np.sum(np.abs(self.row_block(*span)) ** 2)), self._spans())))
+        return math.sqrt(math.fsum(ordered_map(
+            lambda span: float(np.sum(np.abs(self.row_block(*span)) ** 2)), self._spans(),
+            self.threads)))
 
 
 def assemble_channel(tx: SampleSet, receiver, k: float, kind: str | None = None,

@@ -272,6 +272,8 @@ def reproduce(figure_id: str, out_dir, na_list=None, threads: int = 1,
     if figure_id not in FIGURES:
         raise ShadowDofError(f"unknown figure id {figure_id!r}; known: {', '.join(FIGURE_IDS)}")
     default_na, curves_for = FIGURES[figure_id]
+    if na_list and not default_na:
+        raise ValueError(f"{figure_id} has no N_a to set; it takes no --na or na_list")
     curves = curves_for([float(n) for n in na_list or default_na])
     if len({stem for stem, _, _ in curves}) < len(curves):
         raise ValueError(f"N_a values {na_list} give two curves one file name; "
@@ -343,8 +345,6 @@ def main(argv=None) -> int:
             raise ValueError(f"--threads must be at least 1, got {args.threads}")
         if args.command == "reproduce":
             na_list = _positive("--na", args.na.split(",")) if args.na else None
-            if na_list and not FIGURES[args.figure][0]:
-                raise ValueError(f"{args.figure} has no N_a to set; it takes no --na")
             reproduce(args.figure, args.out, na_list, args.threads, args.format)
             return 0
         if args.command == "capacity":

@@ -3,12 +3,14 @@
 Shapes are validated at construction; every operation below may assume a
 valid shape.  Projections map a shape onto the axis (2D) or plane (3D)
 orthogonal to an illumination direction; intersections of the resulting
-shadow regions are exact for intervals and convex polygons.
+shadow regions are exact for intervals and convex polygons.  ``ordered_map``
+is the package's one thread pool (channel row spans, mesh panel spans).
 """
 
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -113,6 +115,20 @@ def direction_frames(angles) -> tuple[np.ndarray, np.ndarray]:
     return khat, np.stack([theta_hat, phi_hat], axis=2)
 
 
+def directions_of(angles):
+    """One Direction per row of (N,) azimuths or (N, 2) [theta, phi] angles."""
+    a = np.asarray(angles)
+    if a.ndim == 1:
+        return (Direction(float(phi)) for phi in a)
+    return (Direction(float(phi), float(theta)) for theta, phi in a)
+
+
+def _turns(ring: np.ndarray) -> np.ndarray:
+    """Cross products of consecutive edges of a closed 2D ring; positive at CCW turns."""
+    e = np.roll(ring, -1, axis=0) - ring
+    return e[:, 0] * np.roll(e, -1, axis=0)[:, 1] - e[:, 1] * np.roll(e, -1, axis=0)[:, 0]
+
+
 # ---------------------------------------------------------------------------
 # 2D shapes
 
@@ -143,10 +159,8 @@ class ConvexPolygon:
             raise ValueError("polygon needs at least 3 two-dimensional vertices")
         if not np.all(np.isfinite(v)):
             raise ValueError("polygon has non-finite vertices")
-        e = np.roll(v, -1, axis=0) - v
-        cross = e[:, 0] * np.roll(e, -1, axis=0)[:, 1] - e[:, 1] * np.roll(e, -1, axis=0)[:, 0]
         scale = float(np.abs(v).max()) or 1.0
-        if np.any(cross <= 1e-12 * scale * scale):
+        if np.any(_turns(v) <= 1e-12 * scale * scale):
             raise ValueError("vertices must be strictly convex in CCW order")
         object.__setattr__(self, "vertices", v)
 
@@ -265,8 +279,7 @@ class PlanarPolygon:
         e1 = e1 / np.linalg.norm(e1)
         e2 = np.cross(n, e1)
         flat = np.column_stack([(v - v[0]) @ e1, (v - v[0]) @ e2])
-        edges = np.roll(flat, -1, axis=0) - flat
-        cross = edges[:, 0] * np.roll(edges, -1, axis=0)[:, 1] - edges[:, 1] * np.roll(edges, -1, axis=0)[:, 0]
+        cross = _turns(flat)
         if not (np.all(cross > 1e-12 * scale * scale) or np.all(cross < -1e-12 * scale * scale)):
             raise ValueError("planar polygon must be strictly convex")
         object.__setattr__(self, "vertices", v)
@@ -692,3 +705,19 @@ def mesh_sphere(center, radius: float, h: float) -> TriangleMesh:
     sign = np.sign(np.einsum("ij,ij->i", normals, out))
     normals *= sign[:, None]
     return TriangleMesh(verts, tris, normals, closed=True)
+
+
+# ---------------------------------------------------------------------------
+# Ordered map
+
+
+def ordered_map(work, spans: list, threads: int):
+    """work(span) for each span, yielded in span order whatever the thread count.
+
+    The builtin map at one thread (or one span), a thread pool above that.
+    """
+    if threads == 1 or len(spans) == 1:
+        yield from map(work, spans)
+        return
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        yield from pool.map(work, spans)

@@ -17,7 +17,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import ConvexPolygon, Direction, Disc, PlanarPolygon, Segment, Sphere, TriangleMesh
+from .geometry import (
+    ConvexPolygon,
+    Disc,
+    PlanarPolygon,
+    Segment,
+    Sphere,
+    TriangleMesh,
+    directions_of,
+)
 
 __all__ = [
     "DirectionQuadrature",
@@ -64,12 +72,7 @@ class DirectionQuadrature:
         return float(self.weights.sum())
 
     def directions(self):
-        if self.dim == 2:
-            for phi in self.angles:
-                yield Direction(float(phi))
-        else:
-            for theta, phi in self.angles:
-                yield Direction(float(phi), float(theta))
+        return directions_of(self.angles)
 
 
 def gauss_legendre(n: int, _cache={}) -> tuple[np.ndarray, np.ndarray]:
@@ -164,15 +167,10 @@ def sphere_quadrature(
     if not u_hi > u_lo:
         raise ValueError("theta range must have positive extent")
     us, wu = _panelized_line(u_lo, u_hi, cos_breaks, n_theta)
-    p_lo, p_hi = phi_range
-    hp = (p_hi - p_lo) / n_phi
-    phis = p_lo + (np.arange(n_phi) + 0.5) * hp
+    ring = circle_quadrature(n_phi, phi_range)
     thetas = np.arccos(np.clip(us, -1.0, 1.0))
-    angles = np.column_stack([
-        np.repeat(thetas, n_phi),
-        np.tile(phis, n_theta),
-    ])
-    weights = np.repeat(wu, n_phi) * hp
+    angles = np.column_stack([np.repeat(thetas, n_phi), np.tile(ring.angles, n_theta)])
+    weights = np.repeat(wu, n_phi) * np.tile(ring.weights, n_theta)
     rule = "gl-midpoint" if not len(tuple(cos_breaks)) else "panelized-gl-midpoint"
     return DirectionQuadrature(3, angles, weights, rule)
 
@@ -251,10 +249,7 @@ def scene_circle_quadrature(
 def _bounding_circle(shape) -> tuple[np.ndarray, float]:
     if isinstance(shape, Sphere):
         return shape.center, shape.radius
-    if isinstance(shape, PlanarPolygon):
-        c = shape.vertices.mean(axis=0)
-        return c, float(np.linalg.norm(shape.vertices - c[None, :], axis=1).max())
-    if isinstance(shape, TriangleMesh):
+    if isinstance(shape, (PlanarPolygon, TriangleMesh)):
         c = shape.vertices.mean(axis=0)
         return c, float(np.linalg.norm(shape.vertices - c[None, :], axis=1).max())
     raise TypeError(f"not a 3D shape: {type(shape).__name__}")
@@ -270,11 +265,11 @@ def _sphere_cos_events(shapes) -> list[float]:
     inner kink circle; for axial stacks the ordering flips at the equator.
     """
     events = set()
+    circles = [_bounding_circle(s) for s in shapes]  # raises TypeError for a shape not 3D
     for i in range(len(shapes)):
         for j in range(i + 1, len(shapes)):
             a, b = shapes[i], shapes[j]
-            ca, ra = _bounding_circle(a)
-            cb, rb = _bounding_circle(b)
+            (ca, ra), (cb, rb) = circles[i], circles[j]
             delta = cb - ca
             h = float(np.linalg.norm(delta))
             if h < 1e-14:
@@ -304,9 +299,6 @@ def scene_sphere_quadrature(
     phi_range: tuple[float, float] = (0.0, TWO_PI),
 ) -> DirectionQuadrature:
     """Sphere-sector rule with cos(theta) panels at sphere-shadow kink circles."""
-    for s in shapes:
-        if not isinstance(s, (Sphere, PlanarPolygon, TriangleMesh)):
-            raise TypeError(f"not a 3D shape: {type(s).__name__}")
     return sphere_quadrature(
         n_theta, n_phi, theta_range, phi_range, cos_breaks=_sphere_cos_events(shapes)
     )

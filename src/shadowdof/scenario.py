@@ -29,7 +29,7 @@ from .channel import (
 )
 from .errors import ScenarioError
 from .geometry import ConvexPolygon, Disc, PlanarPolygon, Segment, Sphere, polygon_area
-from .quadrature import circle_quadrature, scene_circle_quadrature, sphere_quadrature
+from .quadrature import TWO_PI, circle_quadrature, scene_circle_quadrature, sphere_quadrature
 from .shadow import (
     NDOF_MODELS,
     Region,
@@ -44,8 +44,6 @@ from .spectra import dense_entries, dense_spectrum, randomized_spectrum
 __all__ = ["FarFieldSpec", "ScenarioConfig", "load_scenario", "validate", "run_scenario",
            "shadow_summary"]
 
-TWO_PI = 2.0 * math.pi
-
 
 def _check_count(name: str, value, least: int) -> None:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
@@ -56,6 +54,11 @@ def _check_positive(name: str, value) -> None:
     if (isinstance(value, bool) or not isinstance(value, numbers.Real)
             or not (math.isfinite(value) and value > 0)):
         raise ScenarioError(f"{name} must be finite and positive, got {value!r}")
+
+
+def _models(dimension: int) -> list[str]:
+    """The NDoF models of a dimension, its default first."""
+    return [m for m, (_, power) in NDOF_MODELS.items() if power == dimension - 1]
 
 
 @dataclass(frozen=True)
@@ -73,6 +76,16 @@ class FarFieldSpec:
     def __post_init__(self):
         for name in ("n_ports", "n_theta_ports", "n_phi_ports"):
             _check_count(name, getattr(self, name), 1)
+        # phi is periodic: an arc may start or end past 2 pi, so only finiteness is checked
+        if not all(map(math.isfinite, self.phi_range)):
+            raise ScenarioError(f"phi_range must be finite, got {self.phi_range}")
+        if not all(0.0 <= v <= math.pi for v in self.theta_range):
+            raise ScenarioError(f"theta_range must lie in [0, pi], got {self.theta_range}")
+        if self.coverage() < 0:
+            raise ScenarioError("far-field coverage must be nonnegative")
+        if not isinstance(self.polarized, bool) or self.polarized and self.dimension != 3:
+            raise ScenarioError("polarized must be true or false, and true only in 3D; "
+                                f"got {self.polarized!r} in {self.dimension}D")
 
     def coverage(self) -> float:
         if self.dimension == 2:
@@ -114,7 +127,7 @@ class ScenarioConfig:
             raise ScenarioError("method must be dense, randomized, or auto")
         if self.method == "randomized" and self.seed is None:
             raise ScenarioError("randomized spectra need a seed")
-        models = [m for m in NDOF_MODELS if m.endswith(f"{self.dimension}d")]
+        models = _models(self.dimension)
         if self.ndof_model is not None and self.ndof_model not in models:
             raise ScenarioError(f"ndof_model must be one of {models} in {self.dimension}D, "
                                 f"got {self.ndof_model!r}")
@@ -129,9 +142,7 @@ class ScenarioConfig:
 
     @property
     def model(self) -> str:
-        if self.ndof_model:
-            return self.ndof_model
-        return "scalar2d" if self.dimension == 2 else "scalar3d"
+        return self.ndof_model or _models(self.dimension)[0]
 
     @property
     def is_farfield(self) -> bool:
@@ -186,7 +197,8 @@ def _build_region(spec, label: str) -> Region:
 
 def _build_farfield(spec, dimension: int) -> FarFieldSpec:
     spec = _mapping(spec, "farfield")
-    kwargs: dict = {"dimension": dimension}
+    kwargs = {key: spec[key] for key in ("n_ports", "n_theta_ports", "n_phi_ports", "polarized")
+              if key in spec}
     try:
         for key in ("phi_range", "theta_range"):
             if key in spec:
@@ -194,15 +206,7 @@ def _build_farfield(spec, dimension: int) -> FarFieldSpec:
                 kwargs[key] = (float(lo), float(hi))
     except (ValueError, TypeError) as exc:
         raise ScenarioError(f"invalid far-field range: {exc}") from exc
-    for key in ("n_ports", "n_theta_ports", "n_phi_ports"):
-        if key in spec:
-            kwargs[key] = spec[key]
-    if "polarized" in spec:
-        kwargs["polarized"] = bool(spec["polarized"])
-    ff = FarFieldSpec(**kwargs)
-    if ff.coverage() < 0:
-        raise ScenarioError("far-field coverage must be nonnegative")
-    return ff
+    return FarFieldSpec(dimension, **kwargs)
 
 
 def load_scenario(source) -> ScenarioConfig:
@@ -333,7 +337,7 @@ def shadow_summary(config: ScenarioConfig, msr) -> dict:
         if wavelength is None:
             wavelength = wavelength_for_ndof(total, config.target_ndof, config.model)
         summary["wavelength"] = wavelength
-        for model in ("scalar2d",) if config.dimension == 2 else ("scalar3d", "em3d"):
+        for model in _models(config.dimension):
             summary[f"n_a_{model}"] = ndof_from_shadow(total, wavelength, model).n_a
         summary["n_a"] = ndof_from_shadow(total, wavelength, config.model).n_a
     return summary
@@ -379,9 +383,8 @@ def validate(config: ScenarioConfig) -> dict:
         estimates["region_gap"] = gap
         if gap <= 0.0:
             violations.append("regions not disjoint")
-    else:
-        if config.receiver.coverage() <= 0:
-            warnings.append("empty far-field coverage: zero shadow, no channel")
+    elif config.receiver.coverage() == 0:
+        warnings.append("empty far-field coverage: zero shadow, no channel")
     try:
         coarse = shadow_summary(config, compute_shadow(dataclasses.replace(
             config, n_directions=256, n_theta=24, n_phi=48)))

@@ -15,7 +15,6 @@ A_TR (3D), from which the analytic NDoF estimate follows:
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,8 +30,10 @@ from .geometry import (
     TriangleMesh,
     convex_polygon_intersection,
     direction_frames,
+    directions_of,
     intersect_rings,
     lens_areas,
+    ordered_map,
     points_in_convex_polygon,
     project_rings,
     project_shape_3d,
@@ -68,7 +69,9 @@ __all__ = [
     "convex_polygon_intersection",
 ]
 
-NDOF_MODELS = ("scalar2d", "scalar3d", "em3d")
+# NDoF model -> (factor, power): N_a = factor * total / wavelength**power; the
+# power is the dimension minus one, and each dimension's first model is its default
+NDOF_MODELS = {"scalar2d": (1.0, 1), "scalar3d": (1.0, 2), "em3d": (2.0, 2)}
 
 _CHUNK = 512  # directions per batch; bounds the batch arrays, results do not depend on it
 
@@ -120,12 +123,7 @@ class MutualShadowResult:
         return self.weights.shape[0]
 
     def per_direction(self):
-        if self.dim == 2:
-            for phi, v in zip(self.angles, self.values):
-                yield Direction(float(phi)), float(v)
-        else:
-            for (theta, phi), v in zip(self.angles, self.values):
-                yield Direction(float(phi), float(theta)), float(v)
+        return zip(directions_of(self.angles), map(float, self.values))
 
 
 @dataclass(frozen=True)
@@ -191,12 +189,6 @@ def _shadow_values(T: Region, angles: np.ndarray, n_arc: int) -> np.ndarray:
     return union_area([project_rings(p, frames, n_arc) for p in T.parts])
 
 
-def _angles(region: Region, direction: Direction) -> np.ndarray:
-    if direction.is_3d != (region.dimension == 3):
-        raise ValueError("direction dimension does not match the regions")
-    return direction.angles
-
-
 def mutual_shadow_direction(T: Region, R: Region, direction: Direction, n_arc: int = 256) -> float:
     """Overlap measure of the T and R shadows at one illumination direction.
 
@@ -206,18 +198,23 @@ def mutual_shadow_direction(T: Region, R: Region, direction: Direction, n_arc: i
     """
     if T.dimension != R.dimension:
         raise ValueError("regions must share the dimension")
-    return float(_mutual_values(T, R, _angles(T, direction), n_arc)[0])
+    if direction.is_3d != (T.dimension == 3):
+        raise ValueError("direction dimension does not match the regions")
+    return float(_mutual_values(T, R, direction.angles, n_arc)[0])
 
 
 # ---------------------------------------------------------------------------
 # Direction-quadrature totals
 
 
-def _integrate(quad: DirectionQuadrature, batch_values) -> tuple[float, np.ndarray]:
-    """Per-direction values in fixed-size batches and their weighted sum."""
+def _integrate(T: Region, quad: DirectionQuadrature, batch_values) -> MutualShadowResult:
+    """The rule's per-direction values, in fixed-size batches, and their weighted sum."""
+    if (quad.dim == 2) != (T.dimension == 2):
+        raise ValueError("quadrature dimension does not match the regions")
     values = np.concatenate([batch_values(quad.angles[lo:lo + _CHUNK])
                              for lo in range(0, quad.n, _CHUNK)])
-    return math.fsum(quad.weights * values), values
+    return MutualShadowResult(math.fsum(quad.weights * values), quad.angles, quad.weights,
+                              values, quad.dim, quad.rule)
 
 
 def scene_quadrature(T: Region, R: Region | None, n_directions: int = 4096,
@@ -225,9 +222,7 @@ def scene_quadrature(T: Region, R: Region | None, n_directions: int = 4096,
     """Default direction rule for a scene, panelized at its shadow kinks."""
     shapes = list(T.parts) + (list(R.parts) if R is not None else [])
     if T.dimension == 2:
-        pairs = []
-        if R is not None:
-            pairs = [(ct, cr) for ct in T.centroids for cr in R.centroids]
+        pairs = [(ct, cr) for ct in T.centroids for cr in R.centroids] if R is not None else []
         return scene_circle_quadrature(shapes, n_directions, perpendicular_pairs=pairs)
     return scene_sphere_quadrature(shapes, n_theta, n_phi)
 
@@ -244,10 +239,7 @@ def total_mutual_shadow(T: Region, R: Region, quad: DirectionQuadrature | None =
         raise ValueError("regions must share the dimension")
     if quad is None:
         quad = scene_quadrature(T, R, n_directions, n_theta, n_phi)
-    if (quad.dim == 2) != (T.dimension == 2):
-        raise ValueError("quadrature dimension does not match the regions")
-    total, values = _integrate(quad, lambda angles: _mutual_values(T, R, angles, n_arc))
-    return MutualShadowResult(total, quad.angles, quad.weights, values, quad.dim, quad.rule)
+    return _integrate(T, quad, lambda angles: _mutual_values(T, R, angles, n_arc))
 
 
 def total_shadow(T: Region, quad: DirectionQuadrature | None = None,
@@ -259,10 +251,7 @@ def total_shadow(T: Region, quad: DirectionQuadrature | None = None,
     """
     if quad is None:
         quad = scene_quadrature(T, None, n_directions, n_theta, n_phi)
-    if (quad.dim == 2) != (T.dimension == 2):
-        raise ValueError("quadrature dimension does not match the regions")
-    total, values = _integrate(quad, lambda angles: _shadow_values(T, angles, n_arc))
-    return MutualShadowResult(total, quad.angles, quad.weights, values, quad.dim, quad.rule)
+    return _integrate(T, quad, lambda angles: _shadow_values(T, angles, n_arc))
 
 
 # ---------------------------------------------------------------------------
@@ -375,9 +364,7 @@ def mesh_mutual_shadow(T: Region, R: Region, xi_t: float | None = None,
         return float(vals.sum())
 
     spans = [(lo, min(lo + 128, ct.shape[0])) for lo in range(0, ct.shape[0], 128)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        partials = list(pool.map(lambda s: work(*s), spans))
-    return math.fsum(partials) / (xt * xr)
+    return math.fsum(ordered_map(lambda s: work(*s), spans, threads)) / (xt * xr)
 
 
 # ---------------------------------------------------------------------------
@@ -388,20 +375,19 @@ def _total_of(msr) -> float:
     return float(msr.total) if isinstance(msr, MutualShadowResult) else float(msr)
 
 
+def _model(model: str) -> tuple[float, int]:
+    if model not in NDOF_MODELS:
+        raise ValueError(f"unknown NDoF model {model!r}; expected one of {tuple(NDOF_MODELS)}")
+    return NDOF_MODELS[model]
+
+
 def ndof_from_shadow(msr, wavelength: float, model: str) -> NdofEstimate:
     """Analytic NDoF from a total mutual shadow: L/lambda, A/lambda**2, or 2A/lambda**2."""
     if wavelength <= 0:
         raise ValueError("wavelength must be positive")
     total = _total_of(msr)
-    if model == "scalar2d":
-        n_a = total / wavelength
-    elif model == "scalar3d":
-        n_a = total / wavelength ** 2
-    elif model == "em3d":
-        n_a = 2.0 * (total / wavelength ** 2)
-    else:
-        raise ValueError(f"unknown NDoF model {model!r}; expected one of {NDOF_MODELS}")
-    return NdofEstimate(n_a, model, wavelength)
+    factor, power = _model(model)
+    return NdofEstimate(factor * (total / wavelength ** power), model, wavelength)
 
 
 def wavelength_for_ndof(msr, n_a: float, model: str) -> float:
@@ -411,27 +397,20 @@ def wavelength_for_ndof(msr, n_a: float, model: str) -> float:
     total = _total_of(msr)
     if total <= 0:
         raise ValueError("total mutual shadow must be positive")
-    if model == "scalar2d":
-        return total / n_a
-    if model == "scalar3d":
-        return math.sqrt(total / n_a)
-    if model == "em3d":
-        return math.sqrt(2.0 * total / n_a)
-    raise ValueError(f"unknown NDoF model {model!r}; expected one of {NDOF_MODELS}")
+    factor, power = _model(model)
+    scaled = factor * total / n_a
+    return scaled if power == 1 else math.sqrt(scaled)
 
 
 def reference_ndof(kind: str, **params) -> float:
     """Closed-form NDoF references (Weyl, total-shadow, paraxial)."""
-    lam = params.get("wavelength")
-    if lam is None or lam <= 0:
-        raise ValueError("wavelength must be positive")
-
     def positive(name):
         v = params.get(name)
         if v is None or v <= 0:
             raise ValueError(f"{name} must be positive")
         return float(v)
 
+    lam = positive("wavelength")
     if kind == "weyl2d":
         return 2.0 * positive("length") / lam
     if kind == "weyl3d":
@@ -459,20 +438,15 @@ def _boundary_points(shape, n: int = 128) -> np.ndarray:
         v = shape.vertices
         t = np.linspace(0.0, 1.0, max(2, n // v.shape[0]), endpoint=False)[None, :, None]
         return (v[:, None] * (1 - t) + np.roll(v, -1, axis=0)[:, None] * t).reshape(-1, v.shape[1])
-    if isinstance(shape, Disc):
-        t = 2 * np.pi * np.arange(n) / n
-        return shape.center[None, :] + shape.radius * np.column_stack([np.cos(t), np.sin(t)])
-    if isinstance(shape, Sphere):
+    if isinstance(shape, Disc):  # the unit vectors of uniform azimuths
+        khats = direction_frames(2 * np.pi * np.arange(n) / n)[0]
+        return shape.center[None, :] + shape.radius * khats
+    if isinstance(shape, Sphere):  # and of a (theta, phi) grid
         m = max(4, int(math.sqrt(n)))
-        th = np.pi * (np.arange(m) + 0.5) / m
-        ph = 2 * np.pi * np.arange(m) / m
-        tt, pp = np.meshgrid(th, ph, indexing="ij")
-        offs = np.column_stack([
-            (np.sin(tt) * np.cos(pp)).ravel(),
-            (np.sin(tt) * np.sin(pp)).ravel(),
-            np.cos(tt).ravel(),
-        ])
-        return shape.center[None, :] + shape.radius * offs
+        tt, pp = np.meshgrid(np.pi * (np.arange(m) + 0.5) / m, 2 * np.pi * np.arange(m) / m,
+                             indexing="ij")
+        khats = direction_frames(np.column_stack([tt.ravel(), pp.ravel()]))[0]
+        return shape.center[None, :] + shape.radius * khats
     if isinstance(shape, TriangleMesh):
         return shape.vertices
     raise TypeError(f"not a shape: {type(shape).__name__}")

@@ -23,7 +23,16 @@ from shadowdof.errors import (
     RegionsTooCloseError,
     TooLargeForDenseError,
 )
-from shadowdof.geometry import ConvexPolygon, Disc, PlanarPolygon, Segment, Sphere
+from shadowdof.geometry import (
+    ConvexPolygon,
+    Disc,
+    PlanarPolygon,
+    Segment,
+    Sphere,
+    mesh_sphere,
+    points_in_convex_polygon,
+    polygon_area,
+)
 from shadowdof.quadrature import circle_quadrature, sphere_quadrature
 from shadowdof.shadow import Region
 from oracles import dyadic_fd, hankel2_0_asymptotic_abs, hankel2_0_series
@@ -62,6 +71,102 @@ def test_sampling_points_distinct():
     region = Region((Segment([0, 0], [1, 0]), Segment([1, 0], [2, 0])), "T")
     samples = sample_region(region, 0.25)
     assert len({tuple(p) for p in np.round(samples.points, 12)}) == samples.count
+
+
+def _reference_grid_1d(lo, hi, step):
+    n = int(math.floor((hi - lo) / step + 1e-9))
+    return lo + step * np.arange(n + 1)
+
+
+def _reference_sample_shape(shape, step):
+    # one hand-written lattice per shape kind, which the shared sampler must reproduce
+    _grid_1d = _reference_grid_1d
+    if isinstance(shape, Segment):
+        e = shape.end - shape.start
+        length = float(np.linalg.norm(e))
+        t = _grid_1d(0.0, length, step) / length
+        return shape.start[None, :] + t[:, None] * e[None, :]
+    if isinstance(shape, Disc):
+        lo, hi = shape.center - shape.radius, shape.center + shape.radius
+        xs, ys = _grid_1d(lo[0], hi[0], step), _grid_1d(lo[1], hi[1], step)
+        gx, gy = np.meshgrid(xs, ys, indexing="ij")
+        pts = np.column_stack([gx.ravel(), gy.ravel()])
+        keep = np.linalg.norm(pts - shape.center[None, :], axis=1) <= shape.radius + 1e-12
+        return pts[keep]
+    if isinstance(shape, ConvexPolygon):
+        lo, hi = shape.vertices.min(axis=0), shape.vertices.max(axis=0)
+        xs, ys = _grid_1d(lo[0], hi[0], step), _grid_1d(lo[1], hi[1], step)
+        gx, gy = np.meshgrid(xs, ys, indexing="ij")
+        pts = np.column_stack([gx.ravel(), gy.ravel()])
+        return pts[points_in_convex_polygon(pts, shape.vertices)]
+    if isinstance(shape, Sphere):
+        lo, hi = shape.center - shape.radius, shape.center + shape.radius
+        axes = [_grid_1d(lo[i], hi[i], step) for i in range(3)]
+        gx, gy, gz = np.meshgrid(*axes, indexing="ij")
+        pts = np.column_stack([gx.ravel(), gy.ravel(), gz.ravel()])
+        keep = np.linalg.norm(pts - shape.center[None, :], axis=1) <= shape.radius + 1e-12
+        return pts[keep]
+    if isinstance(shape, PlanarPolygon):
+        v, (e1, e2), flat = shape.vertices, shape.axes, shape.flat
+        if polygon_area(flat) < 0:
+            flat = flat[::-1]
+        lo, hi = flat.min(axis=0), flat.max(axis=0)
+        xs, ys = _grid_1d(lo[0], hi[0], step), _grid_1d(lo[1], hi[1], step)
+        gx, gy = np.meshgrid(xs, ys, indexing="ij")
+        pts2 = np.column_stack([gx.ravel(), gy.ravel()])
+        keep = points_in_convex_polygon(pts2, flat)
+        pts2 = pts2[keep]
+        return v[0][None, :] + pts2[:, 0:1] * e1[None, :] + pts2[:, 1:2] * e2[None, :]
+    chunks = []
+    tri_pts = shape.vertices[shape.triangles]
+    for a, b, c in tri_pts:
+        t1 = b - a
+        n1 = float(np.linalg.norm(t1))
+        t1 = t1 / n1
+        t2r = (c - a) - ((c - a) @ t1) * t1
+        n2 = float(np.linalg.norm(t2r))
+        t2 = t2r / n2
+        flat = np.array([[0.0, 0.0], [n1, 0.0], [(c - a) @ t1, n2]])
+        lo, hi = flat.min(axis=0), flat.max(axis=0)
+        xs, ys = _grid_1d(lo[0], hi[0], step), _grid_1d(lo[1], hi[1], step)
+        gx, gy = np.meshgrid(xs, ys, indexing="ij")
+        pts2 = np.column_stack([gx.ravel(), gy.ravel()])
+        keep = points_in_convex_polygon(pts2, flat)
+        pts2 = pts2[keep]
+        if pts2.size:
+            chunks.append(a[None, :] + pts2[:, 0:1] * t1[None, :] + pts2[:, 1:2] * t2[None, :])
+    return np.vstack(chunks) if chunks else np.zeros((0, 3))
+
+
+# a convex quadrilateral in a tilted plane: (s, t) corners on the axes u and v
+_U, _V = np.array([0.9, 0.3, 0.3]), np.array([-0.3, 0.7, 0.3])
+_TILTED_RING = np.array([[0.1, 0.0, 0.2] + s * _U + t * _V
+                         for s, t in ((0, 0), (1, 0.1), (0.9, 1), (-0.1, 0.8))])
+_TILTED_NORMAL = np.cross(_U, _V)
+SAMPLED_SHAPES = {
+    "segment": Segment([0.1, -0.2], [1.3, 0.4]),
+    "disc": Disc([0.13, -0.2], 0.7),
+    "polygon": ConvexPolygon([[0.0, 0.0], [1.1, 0.1], [1.3, 0.8], [0.6, 1.2], [-0.1, 0.7]]),
+    "sphere": Sphere([0.2, 0.1, -0.3], 0.6),
+    "plate": PlanarPolygon(_TILTED_RING, _TILTED_NORMAL),
+    "clockwise-plate": PlanarPolygon(_TILTED_RING[::-1], _TILTED_NORMAL),
+    "mesh": mesh_sphere([0.0, 0.3, 0.1], 0.5, 0.2),
+}
+
+
+@pytest.mark.parametrize("spacing", [0.05, 0.1, 0.13, 0.3])
+def test_sampler_matches_per_kind_reference(spacing):
+    for name, shape in SAMPLED_SHAPES.items():
+        got, want = channel._sample_shape(shape, spacing), _reference_sample_shape(shape, spacing)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+    # a multi-part region: each part's lattice, shared points kept once in first order
+    parts = (Disc([0.0, 0.0], 0.5), ConvexPolygon([[0.0, -0.5], [1.0, -0.5], [1.0, 0.5],
+                                                   [0.0, 0.5]]))
+    pts = np.vstack([_reference_sample_shape(p, spacing) for p in parts])
+    key = np.round(pts / (spacing * 1e-9)).astype(np.int64)
+    want = pts[np.sort(np.unique(key, axis=0, return_index=True)[1])]
+    got = sample_region(Region(parts, "T"), spacing).points
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------

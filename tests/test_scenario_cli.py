@@ -271,6 +271,12 @@ def test_cli_validate_and_errors(tmp_path, capsys):
     (None, "kernel", "scalar3d"),
     (None, "ndof_model", "unknown"),
     (None, "ndof_model", "em3d"),
+    ("farfield", "phi_range", [0.0, float("nan")]),
+    ("farfield", "phi_range", [0.0, float("inf")]),
+    ("farfield", "theta_range", [-0.1, 1.0]),
+    ("farfield", "theta_range", [0.0, 3.5]),
+    ("farfield", "polarized", "false"),
+    ("farfield", "polarized", True),
 ])
 def test_cli_rejects_bad_numbers_at_load(tmp_path, capsys, section, key, value):
     data = yaml.safe_load(TWO_LINES_YAML)
@@ -278,6 +284,8 @@ def test_cli_rejects_bad_numbers_at_load(tmp_path, capsys, section, key, value):
         if key == "wavelength":
             del data["target_ndof"]
         data[key] = value
+    elif section == "farfield":  # a far-field receiver in place of the second line
+        data["receiver"] = {"farfield": {key: value}}
     else:
         data.setdefault(section, {})[key] = value
     cfg = tmp_path / "bad.yaml"
@@ -425,7 +433,11 @@ _FIGURE_FILES = {
 def test_reproduce_every_figure_of_the_table(tmp_path):
     assert set(FIGURE_IDS) == set(_FIGURE_FILES)
     for figure_id, expected in _FIGURE_FILES.items():
-        files = reproduce(figure_id, tmp_path, na_list=[5])
+        na_list = [5] if cli.FIGURES[figure_id][0] else None
+        if na_list is None:
+            with pytest.raises(ValueError, match="no N_a"):
+                reproduce(figure_id, tmp_path, na_list=[5])
+        files = reproduce(figure_id, tmp_path, na_list=na_list)
         assert [f.name for f in files] == list(expected), figure_id
         assert sorted(p.name for p in (tmp_path / figure_id).iterdir()) == sorted(expected)
         for f in files:
@@ -479,3 +491,22 @@ def test_em3d_model_doubles_na():
     est_em = ndof_from_shadow(2.0, 0.1, "em3d")
     assert est_em.n_a == 2 * est_scalar.n_a
     assert summary_s["n_a"] > 0
+
+
+def test_bench_tracer_patches_names_that_exist(monkeypatch):
+    # the benchmark's tracer wraps program names by attribute; a renamed or
+    # deleted one must fail here, not first in a benchmark run
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    from bench_trace import Tracer
+
+    tracer = Tracer()
+    try:
+        tracer.install(cli)
+        patched = list(tracer._patches)
+        assert patched
+        for owner, attr, original in patched:
+            assert getattr(owner, attr) is not original, attr
+    finally:
+        tracer.uninstall()
+    for owner, attr, original in patched:
+        assert getattr(owner, attr) is original, attr

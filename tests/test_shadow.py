@@ -421,6 +421,18 @@ def test_wavelength_for_ndof_and_roundtrip():
         lam = wavelength_for_ndof(msr, 37.5, model)
         back = ndof_from_shadow(msr, lam, model)
         assert back.n_a == pytest.approx(37.5, rel=1e-12)
+    # the model table gives the bits of the per-model formulas it replaced
+    formulas = {
+        "scalar2d": (lambda t, lam: t / lam, lambda t, n: t / n),
+        "scalar3d": (lambda t, lam: t / lam ** 2, lambda t, n: math.sqrt(t / n)),
+        "em3d": (lambda t, lam: 2.0 * (t / lam ** 2), lambda t, n: math.sqrt(2.0 * t / n)),
+    }
+    rng = np.random.default_rng(8)
+    for total, x in 10.0 ** rng.uniform(-6, 6, size=(2000, 2)):
+        total, x = float(total), float(x)
+        for model, (n_a_of, wavelength_of) in formulas.items():
+            assert ndof_from_shadow(total, x, model).n_a == n_a_of(total, x), model
+            assert wavelength_for_ndof(total, x, model) == wavelength_of(total, x), model
 
 
 # ---------------------------------------------------------------------------
