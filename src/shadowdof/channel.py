@@ -50,6 +50,7 @@ from .geometry import (
     Segment,
     Sphere,
     TriangleMesh,
+    direction_frames,
     ordered_map,
     points_in_convex_polygon,
     polygon_area,
@@ -413,13 +414,14 @@ class ChannelOperator:
         if kind in ("farfield2d", "farfield3d"):
             self.ports = list(receiver)
             self.rx_points = None
-            khats = np.array([p.direction.khat for p in self.ports])
-            sqrtw = np.array([math.sqrt(p.weight) for p in self.ports])
+            khats, frames = direction_frames([p.direction.angles[0] for p in self.ports])
+            sqrtw = np.sqrt([p.weight for p in self.ports])
             polarized = kind == "farfield3d" and any(p.polarization for p in self.ports)
             if polarized:
                 if not all(p.polarization for p in self.ports):
                     raise ValueError("mix of polarized and scalar ports")
-                pols = np.array([p.pol_vector() for p in self.ports])
+                column = [int(p.polarization == "phi") for p in self.ports]  # theta_hat, phi_hat
+                pols = frames[np.arange(len(column)), :, column]
                 self._kernel, self._receiver = _polarized_port_block, (khats, sqrtw, pols)
             else:
                 self._kernel, self._receiver = _port_block, (khats, sqrtw)

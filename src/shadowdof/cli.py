@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import math
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -37,39 +39,40 @@ from .shadow import Region, shadow_area_two_spheres
 # Deterministic writers
 
 
-def _fmt(x) -> str:
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return repr(float(x))
+def _column_texts(column) -> list[str] | np.ndarray:
+    """CSV entry texts: str of integers, else repr once per distinct float64 bit pattern."""
+    a = np.asarray(column)
+    if a.dtype.kind in "iu":
+        return list(map(str, a.tolist()))
+    bits, index = np.unique(np.asarray(a, dtype=np.float64).view(np.uint64), return_inverse=True)
+    return np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)[index]
 
 
-def _write_rows(path: Path, header: list[str], rows, fmt: str = "csv",
-                preamble: str | None = None) -> Path:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
+def _write_table(path, columns: dict, fmt: str = "csv", preamble: str | None = None) -> Path:
+    """Named columns as CSV, or (fmt "json") as a list of rows of floats."""
     if fmt == "json":
-        payload = [dict(zip(header, [float(v) for v in row])) for row in rows]
-        return write_summary_json(path.with_suffix(".json"), payload)
+        rows = [dict(zip(columns, map(float, row))) for row in zip(*columns.values())]
+        return write_summary_json(Path(path).with_suffix(".json"), rows)
+    path = Path(path)
+    head = ([preamble] if preamble else []) + [",".join(columns)]
+    lines = itertools.chain(head, map(",".join, zip(*map(_column_texts, columns.values()))))
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        if preamble:
-            fh.write(preamble + "\n")
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        while chunk := list(itertools.islice(lines, 256)):  # a bounded text per write
+            fh.write("\n".join(chunk) + "\n")
     return path
 
 
 def write_shadow_csv(path, msr, fmt: str = "csv") -> Path:
-    header = ["phi", "weight", "shadow"] if msr.dim == 2 else ["theta", "phi", "weight", "shadow"]
     angles = np.reshape(msr.angles, (msr.n_directions, -1)).T  # phi, or theta and phi
-    rows = zip(*angles, msr.weights, msr.values)
-    preamble = f"# total = {_fmt(msr.total)} rule = {msr.rule}"
-    return _write_rows(path, header, rows, fmt, preamble=preamble)
+    columns = dict(zip(["phi"] if msr.dim == 2 else ["theta", "phi"], angles))
+    return _write_table(path, {**columns, "weight": msr.weights, "shadow": msr.values}, fmt,
+                        preamble=f"# total = {float(msr.total)!r} rule = {msr.rule}")
 
 
 def write_spectrum_csv(path, spec, n_a: float, fmt: str = "csv") -> Path:
-    rows = ((i + 1, s, z, z * n_a) for i, (s, z) in enumerate(zip(spec.sigma, spec.zeta)))
-    return _write_rows(path, ["n", "sigma", "zeta", "zeta_times_na"], rows, fmt)
+    return _write_table(path, {"n": np.arange(1, spec.sigma.shape[0] + 1), "sigma": spec.sigma,
+                               "zeta": spec.zeta, "zeta_times_na": spec.zeta * n_a}, fmt)
 
 
 def write_summary_json(path, summary) -> Path:
@@ -87,20 +90,25 @@ def write_summary_json(path, summary) -> Path:
 
 
 def _cmd_shadow(config: ScenarioConfig, out: Path, fmt: str, write_csv: bool) -> int:
+    t0 = time.perf_counter()
     msr = compute_shadow(config)
+    t1 = time.perf_counter()
     if write_csv and msr is not None:
         write_shadow_csv(out / "shadow.csv", msr, fmt)
-    write_summary_json(out / "summary.json", shadow_summary(config, msr))
+    timings = {"shadow_s": t1 - t0, "write_s": time.perf_counter() - t1}
+    write_summary_json(out / "summary.json", {**shadow_summary(config, msr), "timings": timings})
     return 0
 
 
 def _cmd_spectrum(config: ScenarioConfig, out: Path, fmt: str, threads: int,
                   method: str | None) -> int:
     summary, msr, spec = run_scenario(config, threads=threads, method=method)
+    t0 = time.perf_counter()
     if msr is not None:
         write_shadow_csv(out / "shadow.csv", msr, fmt)
     if spec is not None:
         write_spectrum_csv(out / "spectrum.csv", spec, summary["n_a"], fmt)
+    summary["timings"]["write_s"] = time.perf_counter() - t0
     write_summary_json(out / "summary.json", summary)
     return 0
 
@@ -112,11 +120,13 @@ def _cmd_capacity(config: ScenarioConfig, out: Path, fmt: str, threads: int,
         raise ShadowDofError("zero total shadow: no channel to allocate power over")
     nu = spec.sigma / rho
     results = [waterfill(nu, gamma) for gamma in gammas]
-    _write_rows(out / "capacity.csv", ["gamma", "capacity_bits", "active_modes"],
-                [(g, r.capacity_bits, r.active_count) for g, r in zip(gammas, results)], fmt)
+    t0 = time.perf_counter()
+    _write_table(out / "capacity.csv", {
+        "gamma": gammas, "capacity_bits": [r.capacity_bits for r in results],
+        "active_modes": [r.active_count for r in results]}, fmt)
     if export_modes:
-        _write_rows(out / "modes.csv", ["n", "nu"],
-                    ((i + 1, v) for i, v in enumerate(nu)), fmt)
+        _write_table(out / "modes.csv", {"n": np.arange(1, nu.shape[0] + 1), "nu": nu}, fmt)
+    summary["timings"]["write_s"] = time.perf_counter() - t0
     write_summary_json(out / "summary.json", {**summary, "rho": rho, "gammas": list(gammas)})
     return 0
 
@@ -187,11 +197,11 @@ def _cyl_config(label: str, phi_range, n_a: float) -> ScenarioConfig:
                           target_ndof=n_a, method="dense", seed=0)
 
 
-# A curve is (file stem, header, rows): rows(threads) computes its rows.
+# A curve is (file stem, header, columns): columns(threads) computes its x and y columns.
 
-def _spectrum_rows(config: ScenarioConfig, inverse: bool = False):
+def _spectrum_curve(config: ScenarioConfig, inverse: bool = False):
     """n / N_a against zeta_n N_a, or against its finite reciprocals."""
-    def rows(threads):
+    def columns(threads):
         summary, _, spec = run_scenario(config, threads=threads)
         n_a = summary["n_a"]
         if inverse:
@@ -199,23 +209,23 @@ def _spectrum_rows(config: ScenarioConfig, inverse: bool = False):
             y = y[np.isfinite(y)]
         else:
             y = spec.zeta * n_a
-        return [(float(n + 1) / n_a, v) for n, v in enumerate(y)]
-    return rows
+        return np.arange(1, y.shape[0] + 1) / n_a, y
+    return columns
 
 
-def _shadow_rows(xs, config_of):
+def _shadow_curve(xs, config_of):
     """Each x against the total shadow of config_of(x)."""
-    return lambda threads: [(x, compute_shadow(config_of(x)).total) for x in map(float, xs)]
+    return lambda threads: (xs, [compute_shadow(config_of(float(x))).total for x in xs])
 
 
-def _paraxial_rows(ratio: float):
+def _paraxial_curve(ratio: float):
     """h / (a1 + a2) against the shadow of spheres of radii 1 and ratio over pi^2 a2^2 / h^2."""
-    def rows(threads):
-        for mult in np.logspace(math.log10(1.05), math.log10(20.0), 30):
-            h = float(mult) * (1.0 + ratio)
-            area = shadow_area_two_spheres(1.0, ratio, h)
-            yield float(mult), area / (math.pi**2 * ratio**2 / h**2)
-    return rows
+    def columns(threads):
+        mults = np.logspace(math.log10(1.05), math.log10(20.0), 30).tolist()
+        hs = [mult * (1.0 + ratio) for mult in mults]
+        return mults, [shadow_area_two_spheres(1.0, ratio, h) / (math.pi**2 * ratio**2 / h**2)
+                       for h in hs]
+    return columns
 
 
 _ZETA = ("n_over_na", "zeta_times_na")
@@ -227,37 +237,37 @@ _R2R_DS = np.logspace(math.log10(0.1), math.log10(10.0), 21)
 FIGURES = {
     "fig_ideal_squares": ((50, 100), lambda nas: [
         ("ideal_channel", _ZETA,
-         lambda threads: [(0.0, 1.0), (1.0, 1.0), (1.0, 0.0), (2.0, 0.0)])] + [
-        (f"squares_na{int(n)}", _ZETA, _spectrum_rows(_squares_config(1.0, n)))
+         lambda threads: ([0.0, 1.0, 1.0, 2.0], [1.0, 1.0, 0.0, 0.0]))] + [
+        (f"squares_na{int(n)}", _ZETA, _spectrum_curve(_squares_config(1.0, n)))
         for n in nas]),
     "fig_waterfill": ((50, 100), lambda nas: [
         (f"inverse_na{int(n)}", ("n_over_na", "inverse_zeta_na"),
-         _spectrum_rows(_squares_config(1.0, n), inverse=True)) for n in nas]),
+         _spectrum_curve(_squares_config(1.0, n), inverse=True)) for n in nas]),
     "fig_cyl_coverage": ((100,), lambda nas: [
-        (f"cyl_{label}_na{int(n)}", _ZETA, _spectrum_rows(_cyl_config(label, arc, n)))
+        (f"cyl_{label}_na{int(n)}", _ZETA, _spectrum_curve(_cyl_config(label, arc, n)))
         for n in nas for label, arc in (("full", (0.0, 2 * math.pi)),
                                         ("quarter", (0.0, math.pi / 2)))]),
     "fig_lines_sweep": ((5, 10, 50), lambda nas: [
-        (f"lines_na{int(n)}_d{d}", _ZETA, _spectrum_rows(_lines_config(1.0, 0.5, d, n)))
+        (f"lines_na{int(n)}_d{d}", _ZETA, _spectrum_curve(_lines_config(1.0, 0.5, d, n)))
         for n in nas for d in (0.1, 0.5, 1.0, 5.0)]),
     "fig_geos_2d": ((), lambda nas: [
-        (label, _SHADOW_2D, _shadow_rows(_GEOS_DS, config_of))
+        (label, _SHADOW_2D, _shadow_curve(_GEOS_DS, config_of))
         for label, config_of in (
             ("parallel", lambda d: _lines_config(1.0, 0.5, d, 10.0)),
             ("rotated_20deg", lambda d: _lines_config(1.0, 0.5, d, 10.0, rot=math.pi / 9)),
             ("rotated_40deg", lambda d: _lines_config(1.0, 0.5, d, 10.0, rot=2 * math.pi / 9)),
             ("rectangles", _rectangles_config))]),
     "fig_shadow_r2r": ((), lambda nas: [
-        (label, _SHADOW_3D, _shadow_rows(_R2R_DS, config_of))
+        (label, _SHADOW_3D, _shadow_curve(_R2R_DS, config_of))
         for label, config_of in (
             ("parallel", _r2r_config),
             ("shifted", lambda d: _r2r_config(d, shift=d)),
             ("rotated", lambda d: _r2r_config(d, rotated=True)))]),
     "fig_spectra_r2r": ((50, 100), lambda nas: [
-        (f"squares_na{int(n)}_d{d}", _ZETA, _spectrum_rows(_squares_config(d, n)))
+        (f"squares_na{int(n)}_d{d}", _ZETA, _spectrum_curve(_squares_config(d, n)))
         for n in nas for d in (0.5, 1.0, 2.0)]),
     "fig_spheres_paraxial": ((), lambda nas: [
-        (f"ratio_{ratio}", ("h_over_sum_radii", "area_over_paraxial"), _paraxial_rows(ratio))
+        (f"ratio_{ratio}", ("h_over_sum_radii", "area_over_paraxial"), _paraxial_curve(ratio))
         for ratio in (1.0, 0.5, 0.25)]),
 }
 FIGURE_IDS = tuple(FIGURES)
@@ -279,8 +289,8 @@ def reproduce(figure_id: str, out_dir, na_list=None, threads: int = 1,
         raise ValueError(f"N_a values {na_list} give two curves one file name; "
                          "file names carry the integer part of N_a")
     out = Path(out_dir) / figure_id
-    return [_write_rows(out / f"{stem}.csv", header, rows(threads), fmt)
-            for stem, header, rows in curves]
+    return [_write_table(out / f"{stem}.csv", dict(zip(header, columns(threads))), fmt)
+            for stem, header, columns in curves]
 
 
 # ---------------------------------------------------------------------------

@@ -223,7 +223,11 @@ def load_scenario(source) -> ScenarioConfig:
                 text = fh.read()
         except (OSError, TypeError):
             pass
-        data = yaml.safe_load(text)
+        try:
+            # libyaml's parser where PyYAML was built with it; both give equal dicts
+            data = yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+        except yaml.YAMLError as exc:
+            raise ScenarioError(f"scenario is not valid YAML: {exc}") from exc
     data = _mapping(data, "scenario")
     if "transmitter" not in data:
         raise ScenarioError("scenario needs a transmitter")

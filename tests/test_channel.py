@@ -8,6 +8,7 @@ import pytest
 from shadowdof import channel
 from shadowdof.channel import (
     ChannelOperator,
+    FarFieldPort,
     _lattice_of,
     assemble_channel,
     green_2d,
@@ -25,6 +26,7 @@ from shadowdof.errors import (
 )
 from shadowdof.geometry import (
     ConvexPolygon,
+    Direction,
     Disc,
     PlanarPolygon,
     Segment,
@@ -533,6 +535,26 @@ def test_farfield_em_ports():
     lhs = np.vdot(y, op.apply(x))
     rhs = np.vdot(op.adjoint_apply(y), x)
     assert abs(lhs - rhs) / (np.linalg.norm(x) * np.linalg.norm(y) * op.frobenius_norm()) < 1e-10
+
+
+@pytest.mark.parametrize("case", ["2d", "3d", "3d polarized"])
+def test_farfield_port_arrays_equal_per_port_values(case):
+    if case == "2d":
+        ports, tx = ports_from_quadrature(circle_quadrature(37)), [[0.1, 0.2]]
+    else:
+        ports = ports_from_quadrature(sphere_quadrature(6, 12), polarized=case != "3d")
+        # pole directions take the fixed (x, y) basis
+        ports += [FarFieldPort(Direction(0.7, theta), 0.5, p.polarization)
+                  for theta in (0.0, math.pi) for p in ports[:2]]
+        tx = [[0.1, 0.2, 0.3]]
+    op = ChannelOperator(f"farfield{case[:2]}", 3.0, tx, ports)
+    khats, sqrtw, *pols = op._receiver
+    assert np.array_equal(khats, np.array([p.direction.khat for p in ports]))
+    assert np.array_equal(sqrtw, np.array([math.sqrt(p.weight) for p in ports]))
+    if case == "3d polarized":
+        assert np.array_equal(pols[0], np.array([p.pol_vector() for p in ports]))
+    else:
+        assert pols == []
 
 
 def test_green_functions_are_one_by_one_row_blocks():

@@ -1,5 +1,6 @@
 """Scenario parsing, validation, the run pipeline, and the CLI surface."""
 
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -314,6 +315,51 @@ def test_cli_rejects_bad_port_counts_at_load(tmp_path, capsys, value):
     assert not (tmp_path / "out").exists()
 
 
+LOADERS = [name for name in ("CSafeLoader", "SafeLoader") if hasattr(yaml, name)]
+
+
+def _use_loader(monkeypatch, name: str) -> list:
+    """Make load_scenario use the named loader (SafeLoader: as if PyYAML had no libyaml);
+    returns the list of loaders that yaml.load is then called with."""
+    if name == "SafeLoader":
+        monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+    used, load = [], yaml.load
+    monkeypatch.setattr(yaml, "load", lambda text, Loader: used.append(Loader) or load(text, Loader))
+    return used
+
+
+@pytest.mark.parametrize("loader", LOADERS)
+@pytest.mark.parametrize("text", [
+    "name: bad\ntransmitter: {parts: [\n",
+    "name: bad\ntransmitter:\n\tparts: []\n",
+], ids=["unclosed bracket", "tab-indented line"])
+def test_cli_rejects_malformed_yaml_at_load(tmp_path, capsys, monkeypatch, loader, text):
+    used = _use_loader(monkeypatch, loader)
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_text(text)
+    rc = main(["shadow", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert used == [getattr(yaml, loader)]
+    assert rc == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "ScenarioError" and "YAML" in err["message"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_yaml_loaders_give_equal_configs():
+    texts = [p.read_text(encoding="utf-8") for p in sorted(SCENARIOS.glob("*.yaml"))]
+    for text in texts + [TWO_LINES_YAML, DISC_FARFIELD_YAML]:
+        configs = []
+        for name in LOADERS:
+            with pytest.MonkeyPatch.context() as monkeypatch:
+                used = _use_loader(monkeypatch, name)
+                configs.append(dataclasses.astuple(load_scenario(text)))
+                assert used == [getattr(yaml, name)]
+                assert yaml.load(text, Loader=used[0]) == yaml.safe_load(text)
+        assert all(repr(c) == repr(configs[0]) for c in configs)
+
+
 @pytest.mark.parametrize("command", ["shadow", "ndof", "spectrum", "capacity", "reproduce"])
 @pytest.mark.parametrize("threads", ["0", "-3"])
 def test_cli_rejects_threads_below_one(tmp_path, capsys, command, threads):
@@ -384,7 +430,12 @@ def test_cli_summaries_carry_the_shadow_stage(tmp_path):
     assert library["route"] == "rows"  # a dense spectrum reads row blocks
     sketched, _, _ = run_scenario(load_scenario(TWO_LINES_YAML), method="randomized")
     assert sketched["route"] == "lattice"
-    assert set(summaries["capacity"]["timings"]) == {"shadow_s", "assemble_s", "spectrum_s"}
+    assert set(library["timings"]) == {"shadow_s", "assemble_s", "spectrum_s"}
+    for command in ("shadow", "ndof", "spectrum", "capacity"):  # the CLI adds its writing time
+        timings = summaries[command]["timings"]
+        stages = {"shadow_s"} if command in ("shadow", "ndof") else set(library["timings"])
+        assert set(timings) == {*stages, "write_s"}
+        assert 0.0 <= timings["write_s"] < 60.0
     assert summaries["capacity"]["rho"] == 1.0
     assert summaries["capacity"]["gammas"] == [0.5, 1.0, 10.0]
 
