@@ -69,7 +69,6 @@ __all__ = [
     "assemble_channel",
     "channel_kind",
     "ports_from_quadrature",
-    "columns_per_source",
 ]
 
 DENSE_CAP_ENTRIES = 20_000 * 20_000  # complex128 entries (~6.4 GB)
@@ -226,16 +225,6 @@ _POINT_KERNELS = {"scalar2d": _hankel_block, "scalar3d": _spherical_block,
                   "dyadic3d": _dyadic_block}
 
 
-def columns_per_source(kind: str | None, polarized: bool = False) -> int:
-    """Operator columns per transmit point source.
-
-    Three, one per Cartesian dipole axis, for the dyadic kernel and for
-    polarized far-field ports; one for the scalar kinds.  A point receiver
-    has as many rows per point as a source has columns.
-    """
-    return 3 if kind == "dyadic3d" or polarized else 1
-
-
 def _pair(r, rp, name: str) -> tuple[np.ndarray, np.ndarray, float]:
     r = np.asarray(r, dtype=float)
     rp = np.asarray(rp, dtype=float)
@@ -381,9 +370,10 @@ class ChannelOperator:
     """Linear map from transmit excitations to received field samples.
 
     Rows are receiver samples (or far-field ports), columns transmit point
-    sources (``columns_per_source``: three for the dyadic kernel and for
-    polarized ports, one per Cartesian dipole orientation).  Each kind has
-    one block kernel, chosen here, that ``row_block`` slices and calls.
+    sources (three for the dyadic kernel and for polarized ports, one per
+    Cartesian dipole orientation; a point receiver has as many rows per
+    point as a source has columns).  Each kind has one block kernel, chosen
+    here, that ``row_block`` slices and calls.
     dense and frobenius_norm walk row spans, each at most 512 rows and 2**21
     entries, through ``ordered_map`` with results taken in span order, so no
     dense storage is required and results do not depend on the thread count.
@@ -425,17 +415,15 @@ class ChannelOperator:
                 self._kernel, self._receiver = _polarized_port_block, (khats, sqrtw, pols)
             else:
                 self._kernel, self._receiver = _port_block, (khats, sqrtw)
-            rows_per_receiver = 1
         elif kind in _POINT_KERNELS:
             self.rx_points = np.asarray(receiver, dtype=float)
             self.ports = None
             self._kernel, self._receiver = _POINT_KERNELS[kind], (self.rx_points,)
-            rows_per_receiver = columns_per_source(kind)
         else:
             raise ValueError(f"unknown channel kind {kind!r}")
-        self.cols_per_source = columns_per_source(kind, polarized)
-        self._rows_per_receiver = rows_per_receiver
-        self.shape = (self._receiver[0].shape[0] * rows_per_receiver,
+        self.cols_per_source = 3 if kind == "dyadic3d" or polarized else 1
+        self._rows_per_receiver = 1 if self.ports is not None else self.cols_per_source
+        self.shape = (self._receiver[0].shape[0] * self._rows_per_receiver,
                       self.tx_points.shape[0] * self.cols_per_source)
 
     @property

@@ -100,9 +100,8 @@ def _cmd_shadow(config: ScenarioConfig, out: Path, fmt: str, write_csv: bool) ->
     return 0
 
 
-def _cmd_spectrum(config: ScenarioConfig, out: Path, fmt: str, threads: int,
-                  method: str | None) -> int:
-    summary, msr, spec = run_scenario(config, threads=threads, method=method)
+def _cmd_spectrum(config: ScenarioConfig, out: Path, fmt: str, threads: int) -> int:
+    summary, msr, spec = run_scenario(config, threads=threads)
     t0 = time.perf_counter()
     if msr is not None:
         write_shadow_csv(out / "shadow.csv", msr, fmt)
@@ -114,8 +113,8 @@ def _cmd_spectrum(config: ScenarioConfig, out: Path, fmt: str, threads: int,
 
 
 def _cmd_capacity(config: ScenarioConfig, out: Path, fmt: str, threads: int,
-                  method: str | None, gammas, rho: float, export_modes: bool) -> int:
-    summary, _, spec = run_scenario(config, threads=threads, method=method)
+                  gammas, rho: float, export_modes: bool) -> int:
+    summary, _, spec = run_scenario(config, threads=threads)
     if spec is None:
         raise ShadowDofError("zero total shadow: no channel to allocate power over")
     nu = spec.sigma / rho
@@ -363,15 +362,16 @@ def main(argv=None) -> int:
         config = load_scenario(args.config)
         if args.command == "validate":
             return _cmd_validate(config, Path(args.out) if args.out else None)
-        if args.seed is not None:
-            config = dataclasses.replace(config, seed=args.seed)
+        overrides = {key: value for key in ("seed", "method")
+                     if (value := getattr(args, key, None)) is not None}
+        config = dataclasses.replace(config, **overrides)
         out = Path(args.out)
         if args.command in ("shadow", "ndof"):
             return _cmd_shadow(config, out, args.format, write_csv=args.command == "shadow")
         if args.command == "spectrum":
-            return _cmd_spectrum(config, out, args.format, args.threads, args.method)
-        return _cmd_capacity(config, out, args.format, args.threads, args.method,
-                             gammas, args.rho, args.modes)
+            return _cmd_spectrum(config, out, args.format, args.threads)
+        return _cmd_capacity(config, out, args.format, args.threads, gammas, args.rho,
+                             args.modes)
     except (ShadowDofError, ValueError, OSError) as exc:
         json.dump({"error": type(exc).__name__, "message": str(exc)}, sys.stderr)
         sys.stderr.write("\n")

@@ -23,18 +23,16 @@ from .channel import (
     DENSE_CAP_ENTRIES,
     assemble_channel,
     channel_kind,
-    columns_per_source,
     ports_from_quadrature,
     sample_region,
 )
-from .errors import ScenarioError
-from .geometry import ConvexPolygon, Disc, PlanarPolygon, Segment, Sphere, polygon_area
+from .errors import ScenarioError, ShadowDofError
+from .geometry import ConvexPolygon, Disc, PlanarPolygon, Segment, Sphere
 from .quadrature import TWO_PI, circle_quadrature, scene_circle_quadrature, sphere_quadrature
 from .shadow import (
     NDOF_MODELS,
     Region,
     ndof_from_shadow,
-    region_min_distance,
     total_mutual_shadow,
     total_shadow,
     wavelength_for_ndof,
@@ -121,12 +119,9 @@ class ScenarioConfig:
         for name in ("n_directions", "n_theta", "n_phi"):
             _check_count(name, getattr(self, name), 1)
         _check_count("power_iters", self.power_iters, 0)
-        if self.seed is not None:
-            _check_count("seed", self.seed, 0)
+        _check_count("seed", self.seed, 0)
         if self.method not in ("dense", "randomized", "auto"):
-            raise ScenarioError("method must be dense, randomized, or auto")
-        if self.method == "randomized" and self.seed is None:
-            raise ScenarioError("randomized spectra need a seed")
+            raise ScenarioError(f"method must be dense, randomized, or auto, got {self.method!r}")
         models = _models(self.dimension)
         if self.ndof_model is not None and self.ndof_model not in models:
             raise ScenarioError(f"ndof_model must be one of {models} in {self.dimension}D, "
@@ -153,12 +148,43 @@ class ScenarioConfig:
 # YAML parsing
 
 
+# Top-level keys that are ScenarioConfig fields; so is every key of the
+# sampling, spectrum and quadrature sections.  A key left out takes the
+# field's default.
+_SETTINGS = ("wavelength", "target_ndof", "kernel", "ndof_model")
+
+# section -> the keys it may hold; "region" is a transmitter or receiver
+# mapping, and "receiver" a far-field one
+_KEYS = {
+    "scenario": ("name", "dimension", "transmitter", "receiver", "sampling", "spectrum",
+                 "quadrature", *_SETTINGS),
+    "sampling": ("delta_factor",),
+    "spectrum": ("method", "p_factor", "power_iters", "seed"),
+    "quadrature": ("n_directions", "n_theta", "n_phi"),
+    "farfield": ("phi_range", "theta_range", "n_ports", "n_theta_ports", "n_phi_ports",
+                 "polarized"),
+    "region": ("parts",),
+    "receiver": ("farfield",),
+}
+
+
 def _mapping(value, what: str) -> dict:
     """A config section as a dict; an absent section is empty."""
     if value is None:
         return {}
     if not isinstance(value, dict):
         raise ScenarioError(f"{what} must be a mapping, got {value!r}")
+    return value
+
+
+def _section(value, section: str, what: str | None = None) -> dict:
+    """A mapping holding only the keys that _KEYS gives its section."""
+    what = what or section
+    value = _mapping(value, what)
+    unknown = [key for key in value if key not in _KEYS[section]]
+    if unknown:
+        raise ScenarioError(f"unknown key(s) {', '.join(map(repr, unknown))} in {what}; "
+                            f"known: {', '.join(_KEYS[section])}")
     return value
 
 
@@ -185,7 +211,7 @@ def _build_shape(spec: dict):
 
 
 def _build_region(spec, label: str) -> Region:
-    parts = _mapping(spec, f"region {label!r}").get("parts")
+    parts = _section(spec, "region", f"region {label!r}").get("parts")
     if not parts:
         raise ScenarioError(f"region {label!r} needs a parts list")
     try:
@@ -196,13 +222,11 @@ def _build_region(spec, label: str) -> Region:
 
 
 def _build_farfield(spec, dimension: int) -> FarFieldSpec:
-    spec = _mapping(spec, "farfield")
-    kwargs = {key: spec[key] for key in ("n_ports", "n_theta_ports", "n_phi_ports", "polarized")
-              if key in spec}
+    kwargs = dict(_section(spec, "farfield"))
     try:
         for key in ("phi_range", "theta_range"):
-            if key in spec:
-                lo, hi = spec[key]
+            if key in kwargs:
+                lo, hi = kwargs[key]
                 kwargs[key] = (float(lo), float(hi))
     except (ValueError, TypeError) as exc:
         raise ScenarioError(f"invalid far-field range: {exc}") from exc
@@ -228,7 +252,7 @@ def load_scenario(source) -> ScenarioConfig:
             data = yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
         except yaml.YAMLError as exc:
             raise ScenarioError(f"scenario is not valid YAML: {exc}") from exc
-    data = _mapping(data, "scenario")
+    data = _section(data, "scenario")
     if "transmitter" not in data:
         raise ScenarioError("scenario needs a transmitter")
     transmitter = _build_region(data["transmitter"], "T")
@@ -236,7 +260,8 @@ def load_scenario(source) -> ScenarioConfig:
     if not isinstance(recv_spec, dict):
         raise ScenarioError("scenario needs a receiver")
     if "farfield" in recv_spec:
-        receiver = _build_farfield(recv_spec["farfield"], transmitter.dimension)
+        farfield = _section(recv_spec, "receiver", "a far-field receiver")["farfield"]
+        receiver = _build_farfield(farfield, transmitter.dimension)
     else:
         receiver = _build_region(recv_spec, "R")
         if receiver.dimension != transmitter.dimension:
@@ -246,25 +271,11 @@ def load_scenario(source) -> ScenarioConfig:
         _check_count("dimension", declared_dim, 2)
         if declared_dim != transmitter.dimension:
             raise ScenarioError("declared dimension does not match the geometry")
-    sampling, spectrum, quad = (_mapping(data.get(key), key)
-                                for key in ("sampling", "spectrum", "quadrature"))
-    return ScenarioConfig(
-        name=str(data.get("name", "scenario")),
-        transmitter=transmitter,
-        receiver=receiver,
-        wavelength=data.get("wavelength"),
-        target_ndof=data.get("target_ndof"),
-        delta_factor=sampling.get("delta_factor", 5.0),
-        kernel=data.get("kernel"),
-        ndof_model=data.get("ndof_model"),
-        method=str(spectrum.get("method", "auto")),
-        p_factor=spectrum.get("p_factor", 3.0),
-        power_iters=spectrum.get("power_iters", 1),
-        seed=spectrum.get("seed", 0),
-        n_directions=quad.get("n_directions", 4096),
-        n_theta=quad.get("n_theta", 128),
-        n_phi=quad.get("n_phi", 256),
-    )
+    settings = {key: data[key] for key in _SETTINGS if key in data}
+    for section in ("sampling", "spectrum", "quadrature"):
+        settings.update(_section(data.get(section), section))
+    return ScenarioConfig(name=str(data.get("name", "scenario")), transmitter=transmitter,
+                          receiver=receiver, **settings)
 
 
 # ---------------------------------------------------------------------------
@@ -307,9 +318,9 @@ def build_channel(config: ScenarioConfig, wavelength: float, threads: int = 1):
     return assemble_channel(tx, receiver, k, kind=config.kernel, threads=threads), tx, receiver
 
 
-def compute_spectrum(config: ScenarioConfig, op, n_a: float, method: str | None = None):
+def compute_spectrum(config: ScenarioConfig, op, n_a: float):
     """Dense or randomized spectrum per the configured method ('auto' picks by size)."""
-    method = method or config.method
+    method = config.method
     if method == "auto":
         method = "dense" if dense_entries(*op.shape) <= DENSE_CAP_ENTRIES else "randomized"
     if method == "dense":
@@ -350,9 +361,12 @@ def shadow_summary(config: ScenarioConfig, msr) -> dict:
 def run_scenario(config: ScenarioConfig, threads: int = 1, method: str | None = None):
     """Full pipeline; returns (summary, shadow_result, spectrum_result).
 
-    With zero shadow (empty coverage or disjoint shadows everywhere) no
-    channel is built and the spectrum is None.
+    ``method``, when given, replaces the configured one.  With zero shadow
+    (empty coverage or disjoint shadows everywhere) no channel is built and
+    the spectrum is None.
     """
+    if method is not None:
+        config = dataclasses.replace(config, method=method)
     t0 = time.perf_counter()
     msr = compute_shadow(config)
     timings = {"shadow_s": time.perf_counter() - t0}
@@ -365,7 +379,7 @@ def run_scenario(config: ScenarioConfig, threads: int = 1, method: str | None = 
     op, tx, receiver = build_channel(config, summary["wavelength"], threads=threads)
     timings["assemble_s"] = time.perf_counter() - t1
     t2 = time.perf_counter()
-    spec = compute_spectrum(config, op, summary["n_a"], method=method)
+    spec = compute_spectrum(config, op, summary["n_a"])
     timings["spectrum_s"] = time.perf_counter() - t2
     summary.update({"n_e": spec.n_effective, "n_k": spec.n_knee, "method": spec.method,
                     "route": "rows" if spec.method == "dense" else op.route,
@@ -378,77 +392,40 @@ def run_scenario(config: ScenarioConfig, threads: int = 1, method: str | None = 
 
 
 def validate(config: ScenarioConfig) -> dict:
-    """Static checks without running: disjointness, coverage, size estimates."""
+    """A dry run of the pipeline's own stages up to the channel operator.
+
+    The shadow stage runs at a coarse rule (256 directions, 24 x 48); at its
+    wavelength ``build_channel`` samples the regions, checks that they are
+    a sampling spacing apart and sets up the lazy operator, whose shape
+    sizes the dense route.  No kernel is evaluated.  An error a stage raises
+    (one the CLI reports as JSON) is a violation naming its class, since the
+    run stops there too.
+    """
     violations: list[str] = []
     warnings: list[str] = []
     estimates: dict = {}
-    if not config.is_farfield:
-        gap = region_min_distance(config.transmitter, config.receiver)
-        estimates["region_gap"] = gap
-        if gap <= 0.0:
-            violations.append("regions not disjoint")
-    elif config.receiver.coverage() == 0:
+    report = {"violations": violations, "warnings": warnings, "estimates": estimates}
+    if config.is_farfield and config.receiver.coverage() == 0:
         warnings.append("empty far-field coverage: zero shadow, no channel")
+    stage = "shadow"
     try:
         coarse = shadow_summary(config, compute_shadow(dataclasses.replace(
             config, n_directions=256, n_theta=24, n_phi=48)))
         estimates["shadow_total_coarse"] = coarse["shadow_total"]
-        lam = coarse["wavelength"]
-        if lam is not None:
-            estimates["wavelength"] = lam
-            spacing = lam / config.delta_factor
-            # operator rows and columns, not points
-            polarized = config.is_farfield and config.receiver.polarized
-            n_t = (columns_per_source(config.kernel, polarized)
-                   * _count_estimate(config.transmitter, spacing))
-            if config.is_farfield:
-                ff = config.receiver
-                n_r = ff.n_ports if config.dimension == 2 else (
-                    ff.n_theta_ports * ff.n_phi_ports * (2 if ff.polarized else 1))
-            else:
-                n_r = columns_per_source(config.kernel) * _count_estimate(config.receiver, spacing)
-            estimates["n_t"] = n_t
-            estimates["n_r"] = n_r
-            entries = dense_entries(n_r, n_t)
-            estimates["dense_bytes"] = entries * 16
-            if entries > DENSE_CAP_ENTRIES:
-                msg = (f"dense route needs {entries} entries, the {min(n_r, n_t)}^2 Gram "
-                       f"matrix and one block (cap {DENSE_CAP_ENTRIES}); "
-                       "use the randomized method")
-                if config.method == "dense":
-                    violations.append(msg)
-                else:
-                    warnings.append(msg)
-        else:
+        if coarse["wavelength"] is None:
             warnings.append("zero total shadow at coarse quadrature")
-    except Exception as exc:  # static checks must not raise
-        warnings.append(f"estimation failed: {exc}")
-    return {"violations": violations, "warnings": warnings, "estimates": estimates}
-
-
-def _measure(region: Region) -> float:
-    total = 0.0
-    for p in region.parts:
-        if isinstance(p, Segment):
-            total += float(np.linalg.norm(p.end - p.start))
-        elif isinstance(p, Disc):
-            total += math.pi * p.radius**2
-        elif isinstance(p, ConvexPolygon):
-            total += abs(polygon_area(p.vertices))
-        elif isinstance(p, Sphere):
-            total += 4.0 / 3.0 * math.pi * p.radius**3
-        elif isinstance(p, PlanarPolygon):
-            total += abs(polygon_area(p.flat))
-        else:
-            total += float(np.sum(p.areas))
-    return total
-
-
-def _count_estimate(region: Region, spacing: float) -> int:
-    measure = _measure(region)
-    first = region.parts[0]
-    if isinstance(first, Segment):
-        return int(measure / spacing) + len(region.parts)
-    if isinstance(first, Sphere):
-        return max(1, int(measure / spacing**3))
-    return max(1, int(measure / spacing**2))
+            return report
+        estimates["wavelength"] = coarse["wavelength"]
+        stage = "channel"
+        op = build_channel(config, coarse["wavelength"])[0]
+    except (ShadowDofError, ValueError) as exc:  # the run stops at this stage too
+        violations.append(f"{stage} stage: {type(exc).__name__}: {exc}")
+        return report
+    n_r, n_t = op.shape
+    entries = dense_entries(n_r, n_t)
+    estimates.update({"n_t": n_t, "n_r": n_r, "dense_bytes": entries * 16})
+    if entries > DENSE_CAP_ENTRIES:
+        msg = (f"dense route needs {entries} entries, the {min(n_r, n_t)}^2 Gram "
+               f"matrix and one block (cap {DENSE_CAP_ENTRIES}); use the randomized method")
+        (violations if config.method == "dense" else warnings).append(msg)
+    return report

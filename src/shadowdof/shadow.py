@@ -21,11 +21,7 @@ import numpy as np
 
 from .errors import OrderingUndefinedError, PanelsTooCloseError, SpheresOverlapError
 from .geometry import (
-    ConvexPolygon,
     Direction,
-    Disc,
-    PlanarPolygon,
-    Segment,
     Sphere,
     TriangleMesh,
     convex_polygon_intersection,
@@ -34,7 +30,6 @@ from .geometry import (
     intersect_rings,
     lens_areas,
     ordered_map,
-    points_in_convex_polygon,
     project_rings,
     project_shape_3d,
     shape_centroid,
@@ -63,7 +58,6 @@ __all__ = [
     "ndof_from_shadow",
     "reference_ndof",
     "wavelength_for_ndof",
-    "region_min_distance",
     # the per-direction geometry forms of the batched kernels, re-exported
     "project_shape_3d",
     "convex_polygon_intersection",
@@ -113,7 +107,7 @@ class MutualShadowResult:
     rule: str
 
     def __post_init__(self):
-        recomputed = math.fsum(w * v for w, v in zip(self.weights, self.values))
+        recomputed = math.fsum(self.weights * self.values)
         scale = max(abs(self.total), 1e-300)
         if abs(recomputed - self.total) > 1e-12 * scale:
             raise ValueError("total does not match the weighted sum of per-direction values")
@@ -424,56 +418,3 @@ def reference_ndof(kind: str, **params) -> float:
     if kind == "paraxial3d":
         return positive("a_t") * positive("a_r") / (positive("distance") ** 2 * lam ** 2)
     raise ValueError(f"unknown reference kind {kind!r}")
-
-
-# ---------------------------------------------------------------------------
-# Region separation (validation helper)
-
-
-def _boundary_points(shape, n: int = 128) -> np.ndarray:
-    if isinstance(shape, Segment):
-        t = np.linspace(0.0, 1.0, n)[:, None]
-        return shape.start[None, :] * (1 - t) + shape.end[None, :] * t
-    if isinstance(shape, (ConvexPolygon, PlanarPolygon)):
-        v = shape.vertices
-        t = np.linspace(0.0, 1.0, max(2, n // v.shape[0]), endpoint=False)[None, :, None]
-        return (v[:, None] * (1 - t) + np.roll(v, -1, axis=0)[:, None] * t).reshape(-1, v.shape[1])
-    if isinstance(shape, Disc):  # the unit vectors of uniform azimuths
-        khats = direction_frames(2 * np.pi * np.arange(n) / n)[0]
-        return shape.center[None, :] + shape.radius * khats
-    if isinstance(shape, Sphere):  # and of a (theta, phi) grid
-        m = max(4, int(math.sqrt(n)))
-        tt, pp = np.meshgrid(np.pi * (np.arange(m) + 0.5) / m, 2 * np.pi * np.arange(m) / m,
-                             indexing="ij")
-        khats = direction_frames(np.column_stack([tt.ravel(), pp.ravel()]))[0]
-        return shape.center[None, :] + shape.radius * khats
-    if isinstance(shape, TriangleMesh):
-        return shape.vertices
-    raise TypeError(f"not a shape: {type(shape).__name__}")
-
-
-def _point_inside(shape, pts: np.ndarray) -> np.ndarray:
-    if isinstance(shape, (Disc, Sphere)):
-        return np.linalg.norm(pts - shape.center[None, :], axis=1) <= shape.radius
-    if isinstance(shape, ConvexPolygon):
-        return points_in_convex_polygon(pts, shape.vertices)
-    return np.zeros(pts.shape[0], dtype=bool)
-
-
-def region_min_distance(T: Region, R: Region, n_boundary: int = 256) -> float:
-    """Approximate minimum distance between two regions (0 when overlapping).
-
-    Boundary-sampled; accurate to the boundary sampling density, which is
-    sufficient for the disjointness validation it backs.
-    """
-    from scipy.spatial.distance import cdist
-
-    t_pts = [(_boundary_points(p, n_boundary), p) for p in T.parts]
-    r_pts = [(_boundary_points(p, n_boundary), p) for p in R.parts]
-    best = math.inf
-    for pa, sa in t_pts:
-        for pb, sb in r_pts:
-            if np.any(_point_inside(sb, pa)) or np.any(_point_inside(sa, pb)):
-                return 0.0
-            best = min(best, float(cdist(pa, pb).min()))
-    return best

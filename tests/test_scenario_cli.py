@@ -12,7 +12,7 @@ import shadowdof.cli as cli
 import shadowdof.scenario as scenario
 import shadowdof.spectra as spectra
 from shadowdof.cli import FIGURE_IDS, main, reproduce
-from shadowdof.errors import ScenarioError
+from shadowdof.errors import RegionsTooCloseError, ScenarioError
 from shadowdof.scenario import (
     FarFieldSpec,
     ScenarioConfig,
@@ -90,11 +90,42 @@ def test_exactly_one_of_wavelength_target():
 
 
 def test_validate_disjointness():
-    t = Region((Disc([0.0, 0.0], 1.0),), "T")
-    r = Region((Disc([0.5, 0.0], 1.0),), "R")
-    config = ScenarioConfig(name="overlap", transmitter=t, receiver=r, wavelength=0.1)
+    # overlapping discs, and lines 0.01 apart (half the lambda/5 spacing): both
+    # stop the run in build_channel, and validate reports that stage's error
+    discs = (Disc([0.0, 0.0], 1.0), Disc([0.5, 0.0], 1.0))
+    lines = (Segment([-0.5, 0.0], [0.5, 0.0]), Segment([-0.5, 0.01], [0.5, 0.01]))
+    for t, r in (discs, lines):
+        config = ScenarioConfig(name="close", transmitter=Region((t,), "T"),
+                                receiver=Region((r,), "R"), wavelength=0.1)
+        with pytest.raises(RegionsTooCloseError):
+            build_channel(config, 0.1)
+        report = validate(config)
+        [violation] = report["violations"]
+        assert violation.startswith("channel stage: RegionsTooCloseError: ")
+        assert "n_t" not in report["estimates"]
+
+
+@pytest.mark.parametrize("path", sorted(SCENARIOS.glob("*.yaml")), ids=lambda p: p.stem)
+def test_validate_counts_are_the_operators(path):
+    config = load_scenario(path)
     report = validate(config)
-    assert any("not disjoint" in v for v in report["violations"])
+    assert report["violations"] == []
+    est = report["estimates"]
+    op, _, _ = build_channel(config, est["wavelength"])
+    assert (est["n_r"], est["n_t"]) == op.shape
+    assert est["dense_bytes"] == 16 * dense_entries(*op.shape)
+
+
+def test_validate_counts_every_part_of_a_region():
+    # a segment and a disc: the samples of both parts, not an estimate keyed on the first
+    data = {"name": "segment-and-disc", "target_ndof": 10,
+            "transmitter": {"parts": [
+                {"kind": "segment", "start": [-0.5, 0.0], "end": [0.5, 0.0]},
+                {"kind": "disc", "center": [0.0, -1.0], "radius": 0.5}]},
+            "receiver": {"parts": [{"kind": "segment", "start": [-0.5, 1.0], "end": [0.5, 1.0]}]}}
+    est = validate(load_scenario(data))["estimates"]
+    assert est["n_t"] == 2914
+    assert est["n_r"] == 61
 
 
 def test_validate_clean_config_and_estimates():
@@ -133,20 +164,24 @@ def test_validate_estimates_operator_shape(receiver, kernel):
     config = load_scenario(data)
     est = validate(config)["estimates"]
     op, _, _ = build_channel(config, 0.5)
-    assert est["n_r"] == pytest.approx(op.n_rows, rel=0.05)
-    assert est["n_t"] == pytest.approx(op.n_cols, rel=0.05)
+    assert (est["n_r"], est["n_t"]) == op.shape
 
 
 def test_auto_picks_dense_by_gram_entries(monkeypatch):
     monkeypatch.setattr(spectra, "_BLOCK_SPAN", 7)
-    config = load_scenario(DISC_FARFIELD_YAML)
+    config = dataclasses.replace(load_scenario(DISC_FARFIELD_YAML), method="auto")
     op, _, _ = build_channel(config, 0.4)
     entries = dense_entries(*op.shape)
     assert entries < op.n_rows * op.n_cols
     monkeypatch.setattr(scenario, "DENSE_CAP_ENTRIES", entries)
-    assert compute_spectrum(config, op, 10.0, method="auto").method == "dense"
+    assert compute_spectrum(config, op, 10.0).method == "dense"
     monkeypatch.setattr(scenario, "DENSE_CAP_ENTRIES", entries - 1)
-    assert compute_spectrum(config, op, 10.0, method="auto").method.startswith("randomized")
+    assert compute_spectrum(config, op, 10.0).method.startswith("randomized")
+
+
+def test_method_overrides_are_checked_by_the_config():
+    with pytest.raises(ScenarioError, match="method"):
+        run_scenario(lines_config(), method="bogus")
 
 
 # ---------------------------------------------------------------------------
@@ -278,6 +313,13 @@ def test_cli_validate_and_errors(tmp_path, capsys):
     ("farfield", "theta_range", [0.0, 3.5]),
     ("farfield", "polarized", "false"),
     ("farfield", "polarized", True),
+    ("spectrum", "seed", None),
+    ("spectrum", "methd", "dense"),
+    ("sampling", "delta", 5.0),
+    ("quadrature", "n_thetas", 24),
+    ("farfield", "n_port", 64),
+    ("transmitter", "colour", "red"),
+    (None, "wavelenght", 0.1),
 ])
 def test_cli_rejects_bad_numbers_at_load(tmp_path, capsys, section, key, value):
     data = yaml.safe_load(TWO_LINES_YAML)

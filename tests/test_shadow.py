@@ -21,13 +21,13 @@ from shadowdof.geometry import (
 )
 from shadowdof.quadrature import circle_quadrature, sphere_quadrature
 from shadowdof.shadow import (
+    MutualShadowResult,
     Region,
     _shadow_values,
     mesh_mutual_shadow,
     mutual_shadow_direction,
     ndof_from_shadow,
     reference_ndof,
-    region_min_distance,
     shadow_area_two_discs,
     shadow_area_two_spheres,
     shadow_length_two_lines,
@@ -127,6 +127,17 @@ def test_result_total_consistent_with_rows():
     msr = total_mutual_shadow(t, r, n_directions=512)
     assert msr.total == pytest.approx(float(np.dot(msr.weights, msr.values)), rel=1e-12)
     assert msr.n_directions == 512
+
+
+def test_result_rejects_a_total_off_its_weighted_sum():
+    t, r = two_lines()
+    msr = total_mutual_shadow(t, r, n_directions=512)
+    fields = (msr.angles, msr.weights, msr.values, msr.dim, msr.rule)
+    assert MutualShadowResult(msr.total, *fields).total == msr.total
+    assert MutualShadowResult(msr.total * (1 + 5e-13), *fields).total > msr.total
+    for total in (msr.total * (1 + 1e-11), msr.total + 1e-9, 0.0):
+        with pytest.raises(ValueError, match="weighted sum"):
+            MutualShadowResult(total, *fields)
 
 
 def test_threaded_total_identical():
@@ -444,10 +455,6 @@ def test_region_validation_and_distance():
         Region(())
     with pytest.raises(ValueError):
         Region((Segment([0, 0], [1, 0]), Sphere([0, 0, 0], 1.0)))
-    t, r = two_lines(1.0, 1.0, 0.5)
-    assert region_min_distance(t, r) == pytest.approx(0.5, rel=1e-2)
-    overlapping = Region((Disc([0.0, 0.1], 1.0),), "R")
-    assert region_min_distance(Region((Disc([0, 0], 1.0),), "T"), overlapping) == 0.0
 
 
 def test_multi_part_union_shadow():
