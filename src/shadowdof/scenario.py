@@ -154,7 +154,7 @@ class ScenarioConfig:
 _SETTINGS = ("wavelength", "target_ndof", "kernel", "ndof_model")
 
 # section -> the keys it may hold; "region" is a transmitter or receiver
-# mapping, and "receiver" a far-field one
+# mapping, "receiver" a far-field one, and each shape kind a part of a region
 _KEYS = {
     "scenario": ("name", "dimension", "transmitter", "receiver", "sampling", "spectrum",
                  "quadrature", *_SETTINGS),
@@ -165,7 +165,14 @@ _KEYS = {
                  "polarized"),
     "region": ("parts",),
     "receiver": ("farfield",),
+    "segment": ("kind", "start", "end"),
+    "polygon": ("kind", "vertices"),
+    "disc": ("kind", "center", "radius"),
+    "sphere": ("kind", "center", "radius"),
+    "planar_polygon": ("kind", "vertices", "normal"),
+    "plate": ("kind", "origin", "u", "v"),
 }
+_SHAPE_KINDS = tuple(section for section, keys in _KEYS.items() if "kind" in keys)
 
 
 def _mapping(value, what: str) -> dict:
@@ -188,8 +195,12 @@ def _section(value, section: str, what: str | None = None) -> dict:
     return value
 
 
-def _build_shape(spec: dict):
-    kind = spec.get("kind")
+def _build_shape(spec, label: str):
+    kind = _mapping(spec, f"a part of region {label!r}").get("kind")
+    if kind not in _SHAPE_KINDS:
+        raise ScenarioError(f"unknown shape kind {kind!r} in region {label!r}; "
+                            f"known: {', '.join(_SHAPE_KINDS)}")
+    spec = _section(spec, kind, f"a {kind} part of region {label!r}")
     if kind == "segment":
         return Segment(spec["start"], spec["end"])
     if kind == "polygon":
@@ -200,14 +211,12 @@ def _build_shape(spec: dict):
         return Sphere(spec["center"], float(spec["radius"]))
     if kind == "planar_polygon":
         return PlanarPolygon(np.asarray(spec["vertices"], dtype=float), spec["normal"])
-    if kind == "plate":
-        origin = np.asarray(spec["origin"], dtype=float)
-        u = np.asarray(spec["u"], dtype=float)
-        v = np.asarray(spec["v"], dtype=float)
-        verts = np.array([origin, origin + u, origin + u + v, origin + v])
-        n = np.cross(u, v)
-        return PlanarPolygon(verts, n / np.linalg.norm(n))
-    raise ScenarioError(f"unknown shape kind {kind!r}")
+    origin = np.asarray(spec["origin"], dtype=float)  # a plate
+    u = np.asarray(spec["u"], dtype=float)
+    v = np.asarray(spec["v"], dtype=float)
+    verts = np.array([origin, origin + u, origin + u + v, origin + v])
+    n = np.cross(u, v)
+    return PlanarPolygon(verts, n / np.linalg.norm(n))
 
 
 def _build_region(spec, label: str) -> Region:
@@ -215,8 +224,7 @@ def _build_region(spec, label: str) -> Region:
     if not parts:
         raise ScenarioError(f"region {label!r} needs a parts list")
     try:
-        return Region(tuple(_build_shape(_mapping(p, f"a part of region {label!r}"))
-                            for p in parts), label)
+        return Region(tuple(_build_shape(p, label) for p in parts), label)
     except (ValueError, KeyError, TypeError) as exc:
         raise ScenarioError(f"invalid region {label!r}: {exc}") from exc
 

@@ -223,12 +223,8 @@ def scene_quadrature(T: Region, R: Region | None, n_directions: int = 4096,
 
 def total_mutual_shadow(T: Region, R: Region, quad: DirectionQuadrature | None = None,
                         n_directions: int = 4096, n_theta: int = 128, n_phi: int = 256,
-                        threads: int = 1, n_arc: int = 256) -> MutualShadowResult:
-    """Total mutual shadow L_TR (2D) or A_TR (3D) over a direction quadrature.
-
-    ``threads`` has no effect: the directions are evaluated in vectorized
-    batches, so the result is the same for every thread count.
-    """
+                        n_arc: int = 256) -> MutualShadowResult:
+    """Total mutual shadow L_TR (2D) or A_TR (3D) over a direction quadrature."""
     if T.dimension != R.dimension:
         raise ValueError("regions must share the dimension")
     if quad is None:
@@ -238,11 +234,8 @@ def total_mutual_shadow(T: Region, R: Region, quad: DirectionQuadrature | None =
 
 def total_shadow(T: Region, quad: DirectionQuadrature | None = None,
                  n_directions: int = 4096, n_theta: int = 128, n_phi: int = 256,
-                 threads: int = 1, n_arc: int = 256) -> MutualShadowResult:
-    """Total transmitter shadow over a (possibly partial) far-field coverage.
-
-    ``threads`` has no effect, as in ``total_mutual_shadow``.
-    """
+                 n_arc: int = 256) -> MutualShadowResult:
+    """Total transmitter shadow over a (possibly partial) far-field coverage."""
     if quad is None:
         quad = scene_quadrature(T, None, n_directions, n_theta, n_phi)
     return _integrate(T, quad, lambda angles: _shadow_values(T, angles, n_arc))

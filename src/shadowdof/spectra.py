@@ -17,6 +17,9 @@ an absolute accuracy floor: each eigenvalue is off by up to a few 1e-15
 sigma_1 (3.9e-15 against the SVD of a 512 x 79,563 far-field channel), so
 sigma_i is accurate to about that over sigma_i relative, values below about
 1e-13 sigma_1 are rounding noise, and negative ones are reported as 0.
+
+The randomized sketch reduces H to a P-column basis and ends in the same
+Gram eigensolve, so both routes share one factorization and that floor.
 """
 
 from __future__ import annotations
@@ -174,8 +177,11 @@ def randomized_spectrum(h, p: int, seed: int, power_iters: int = 1) -> SpectrumR
     Draws a complex Gaussian N_T x P test matrix A (counter-based Philox
     stream, so a seed pins the spectrum bit-for-bit), forms Y = H A, an
     orthonormal basis W of Y (optionally refreshed by power iterations
-    Y <- H (H^H W)), and reduces to B = W^H H whose singular values
-    approximate the top of the spectrum of H.
+    Y <- H (H^H W)), and reduces to B = W^H H whose squared singular values
+    approximate the top of the spectrum of H.  They are the eigenvalues of
+    B B^H, taken by ``dense_spectrum`` on X = H^H W (its Gram of the
+    P-wide side), so the sketch shares the dense route's 1e-13 sigma_1
+    floor; its tail is approximate in any case.
     """
     n_rows, n_cols = (h.shape if isinstance(h, ChannelOperator) else np.asarray(h).shape)
     if not 0 < p <= min(n_rows, n_cols):
@@ -194,6 +200,5 @@ def randomized_spectrum(h, p: int, seed: int, power_iters: int = 1) -> SpectrumR
     for _ in range(power_iters):
         y = mul(mul_h(w))
         w, _ = np.linalg.qr(y)
-    b = mul_h(w).conj().T  # W^H H, evaluated through the adjoint
-    svals = np.linalg.svd(b, compute_uv=False)
-    return spectrum_from_sigma(svals**2, f"randomized(P={p}, power_iters={power_iters})", seed)
+    sigma = dense_spectrum(mul_h(w)).sigma
+    return spectrum_from_sigma(sigma, f"randomized(P={p}, power_iters={power_iters})", seed)

@@ -342,6 +342,30 @@ def test_cli_rejects_bad_numbers_at_load(tmp_path, capsys, section, key, value):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("yaml_text, part, key", [
+    (DISC_FARFIELD_YAML, {"kind": "disc", "center": [0.0, 0.0], "radius": 1.0, "raduis": 5},
+     "raduis"),
+    ((SCENARIOS / "squares_parallel.yaml").read_text(),
+     {"kind": "plate", "origin": [0, 0, 0], "u": [1, 0, 0], "v": [0, 1, 0],
+      "normal": [0, 1, 0]}, "normal"),
+], ids=["disc-raduis", "plate-normal"])
+def test_cli_rejects_unknown_part_keys_at_load(tmp_path, capsys, yaml_text, part, key):
+    data = yaml.safe_load(yaml_text)
+    data["transmitter"]["parts"][0] = part
+    with pytest.raises(ScenarioError, match=key):
+        load_scenario(data)
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_text(yaml.safe_dump(data))
+    rc = main(["spectrum", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "ScenarioError" and key in err["message"]
+    assert part["kind"] in err["message"]
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("value", [0, -3, 40.7])
 def test_cli_rejects_bad_port_counts_at_load(tmp_path, capsys, value):
     data = yaml.safe_load(DISC_FARFIELD_YAML)

@@ -140,13 +140,6 @@ def test_result_rejects_a_total_off_its_weighted_sum():
             MutualShadowResult(total, *fields)
 
 
-def test_threaded_total_identical():
-    t, r = two_lines(1.0, 0.5, 0.7)
-    a = total_mutual_shadow(t, r, n_directions=2048, threads=1).total
-    b = total_mutual_shadow(t, r, n_directions=2048, threads=8).total
-    assert a == b  # bitwise
-
-
 def plate(z=0.0, side=1.0, x0=0.0, y0=0.0):
     return PlanarPolygon([[x0, y0, z], [x0 + side, y0, z], [x0 + side, y0 + side, z],
                           [x0, y0 + side, z]], [0, 0, 1.0])

@@ -227,3 +227,43 @@ def test_randomized_dimension_check():
     m = np.zeros((5, 5), dtype=complex)
     with pytest.raises(ValueError):
         randomized_spectrum(m, p=9, seed=0)
+
+
+def _former_sketch_sigma(h, p, seed, power_iters):
+    """The sketch's former reduction: the same Philox draw and QR steps, then svd(W^H H)**2."""
+    matrix = h.dense() if isinstance(h, ChannelOperator) else h
+    rng = np.random.Generator(np.random.Philox(seed))
+    n_cols = matrix.shape[1]
+    a = (rng.standard_normal((n_cols, p)) + 1j * rng.standard_normal((n_cols, p))) / math.sqrt(2)
+    w, _ = np.linalg.qr(matrix @ a)
+    for _ in range(power_iters):
+        w, _ = np.linalg.qr(matrix @ (matrix.conj().T @ w))
+    return np.linalg.svd(w.conj().T @ matrix, compute_uv=False) ** 2
+
+
+SKETCH_CASES = {
+    "lattice": lambda: assemble_channel(
+        sample_region(Region((Disc([0.0, 0.0], 0.4),), "T"), 0.05),
+        sample_region(Region((Disc([0.3, 1.6], 0.3),), "R"), 0.05), 2 * math.pi / 0.25),
+    "rows": lambda: _gram_case("wide-farfield"),
+    "ndarray": lambda: _gram_case("ndarray"),
+}
+
+
+@pytest.mark.parametrize("name", list(SKETCH_CASES))
+def test_randomized_ends_in_the_gram_eigensolve(name, monkeypatch):
+    h = SKETCH_CASES[name]()
+    if isinstance(h, ChannelOperator):
+        assert h.route == name
+    p = min(h.shape) // 2
+    ref = np.sort(_former_sketch_sigma(h, p, seed=9, power_iters=1))[::-1]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the sketch called an SVD")
+
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    spec = randomized_spectrum(h, p=p, seed=9, power_iters=1)
+    assert spec.method == f"randomized(P={p}, power_iters=1)"
+    assert spec.seed == 9
+    assert spec.n_values == p
+    assert np.max(np.abs(spec.sigma - ref)) <= 1e-12 * ref[0]
