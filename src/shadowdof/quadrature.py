@@ -12,6 +12,7 @@ per-panel Gauss blocks then integrate to near machine precision.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -75,11 +76,10 @@ class DirectionQuadrature:
         return directions_of(self.angles)
 
 
-def gauss_legendre(n: int, _cache={}) -> tuple[np.ndarray, np.ndarray]:
+@functools.cache
+def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Cached Gauss-Legendre nodes/weights on [-1, 1] (leggauss is O(n^3))."""
-    if n not in _cache:
-        _cache[n] = np.polynomial.legendre.leggauss(n)
-    return _cache[n]
+    return np.polynomial.legendre.leggauss(n)
 
 
 def _gauss_nodes(lo: float, hi: float, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -105,13 +105,19 @@ def _allocate(n: int, lengths: np.ndarray) -> np.ndarray:
     Panels are delimited by the integrand kinks, so within-panel Gauss blocks
     converge fast whatever the panel length; an equal split keeps narrow
     panels resolved (they can carry the whole integrand, e.g. the small
-    overlap cone of far-separated spheres).
+    overlap cone of far-separated spheres).  A mirror-symmetric panel set
+    (panel i as long as panel p-1-i, to rounding) keeps a mirror-symmetric
+    rule wherever the count allows one: the remainder goes to whole mirror
+    pairs, longest first, and an odd node to the centre panel.
     """
     p = len(lengths)
     counts = np.full(p, n // p, dtype=int)
+    extra = n - counts.sum()
     order = np.argsort(-lengths, kind="stable")
-    for i in range(n - counts.sum()):
-        counts[order[i % p]] += 1
+    if (p % 2 or extra % 2 == 0) and np.allclose(lengths, lengths[::-1], rtol=1e-12, atol=0):
+        firsts = [i for i in order if 2 * i < p - 1][:extra // 2]
+        order = firsts + [p - 1 - i for i in firsts] + [p // 2] * (extra % 2)
+    counts[order[:extra]] += 1
     return counts
 
 
@@ -291,14 +297,6 @@ def _sphere_cos_events(shapes) -> list[float]:
     return sorted(events)
 
 
-def scene_sphere_quadrature(
-    shapes,
-    n_theta: int,
-    n_phi: int,
-    theta_range: tuple[float, float] = (0.0, math.pi),
-    phi_range: tuple[float, float] = (0.0, TWO_PI),
-) -> DirectionQuadrature:
-    """Sphere-sector rule with cos(theta) panels at sphere-shadow kink circles."""
-    return sphere_quadrature(
-        n_theta, n_phi, theta_range, phi_range, cos_breaks=_sphere_cos_events(shapes)
-    )
+def scene_sphere_quadrature(shapes, n_theta: int, n_phi: int) -> DirectionQuadrature:
+    """Whole-sphere rule with cos(theta) panels at sphere-shadow kink circles."""
+    return sphere_quadrature(n_theta, n_phi, cos_breaks=_sphere_cos_events(shapes))

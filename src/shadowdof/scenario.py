@@ -154,15 +154,17 @@ class ScenarioConfig:
 _SETTINGS = ("wavelength", "target_ndof", "kernel", "ndof_model")
 
 # section -> the keys it may hold; "region" is a transmitter or receiver
-# mapping, "receiver" a far-field one, and each shape kind a part of a region
+# mapping, "receiver" a far-field one, and each shape kind a part of a region;
+# the quadrature and far-field sections hold the keys of the scene's dimension
 _KEYS = {
     "scenario": ("name", "dimension", "transmitter", "receiver", "sampling", "spectrum",
                  "quadrature", *_SETTINGS),
     "sampling": ("delta_factor",),
     "spectrum": ("method", "p_factor", "power_iters", "seed"),
-    "quadrature": ("n_directions", "n_theta", "n_phi"),
-    "farfield": ("phi_range", "theta_range", "n_ports", "n_theta_ports", "n_phi_ports",
-                 "polarized"),
+    "2D quadrature": ("n_directions",),
+    "3D quadrature": ("n_theta", "n_phi"),
+    "2D far field": ("phi_range", "n_ports", "polarized"),
+    "3D far field": ("phi_range", "theta_range", "n_theta_ports", "n_phi_ports", "polarized"),
     "region": ("parts",),
     "receiver": ("farfield",),
     "segment": ("kind", "start", "end"),
@@ -230,7 +232,7 @@ def _build_region(spec, label: str) -> Region:
 
 
 def _build_farfield(spec, dimension: int) -> FarFieldSpec:
-    kwargs = dict(_section(spec, "farfield"))
+    kwargs = dict(_section(spec, f"{dimension}D far field"))
     try:
         for key in ("phi_range", "theta_range"):
             if key in kwargs:
@@ -280,8 +282,9 @@ def load_scenario(source) -> ScenarioConfig:
         if declared_dim != transmitter.dimension:
             raise ScenarioError("declared dimension does not match the geometry")
     settings = {key: data[key] for key in _SETTINGS if key in data}
-    for section in ("sampling", "spectrum", "quadrature"):
-        settings.update(_section(data.get(section), section))
+    settings.update(_section(data.get("sampling"), "sampling"))
+    settings.update(_section(data.get("spectrum"), "spectrum"))
+    settings.update(_section(data.get("quadrature"), f"{transmitter.dimension}D quadrature"))
     return ScenarioConfig(name=str(data.get("name", "scenario")), transmitter=transmitter,
                           receiver=receiver, **settings)
 
@@ -366,15 +369,12 @@ def shadow_summary(config: ScenarioConfig, msr) -> dict:
     return summary
 
 
-def run_scenario(config: ScenarioConfig, threads: int = 1, method: str | None = None):
+def run_scenario(config: ScenarioConfig, threads: int = 1):
     """Full pipeline; returns (summary, shadow_result, spectrum_result).
 
-    ``method``, when given, replaces the configured one.  With zero shadow
-    (empty coverage or disjoint shadows everywhere) no channel is built and
-    the spectrum is None.
+    With zero shadow (empty coverage or disjoint shadows everywhere) no
+    channel is built and the spectrum is None.
     """
-    if method is not None:
-        config = dataclasses.replace(config, method=method)
     t0 = time.perf_counter()
     msr = compute_shadow(config)
     timings = {"shadow_s": time.perf_counter() - t0}

@@ -58,7 +58,8 @@ __all__ = [
     "ndof_from_shadow",
     "reference_ndof",
     "wavelength_for_ndof",
-    # the per-direction geometry forms of the batched kernels, re-exported
+    # the per-direction geometry forms of the batched kernels: the engine does not
+    # call them, but perfbench/bench_trace.py patches them in this module
     "project_shape_3d",
     "convex_polygon_intersection",
 ]
@@ -148,7 +149,7 @@ def _ordering(khats: np.ndarray, t_cents, r_cents) -> np.ndarray:
     return forward
 
 
-def _mutual_values(T: Region, R: Region, angles: np.ndarray, n_arc: int) -> np.ndarray:
+def _mutual_values(T: Region, R: Region, angles: np.ndarray) -> np.ndarray:
     """Mutual shadow measure of T and R for a batch of directions."""
     khats, frames = direction_frames(angles)
     values = np.zeros(khats.shape[0])
@@ -168,22 +169,22 @@ def _mutual_values(T: Region, R: Region, angles: np.ndarray, n_arc: int) -> np.n
         offset = np.einsum("k,nkj->nj", t.center - r.center, frames)
         values[forward] = lens_areas(t.radius, r.radius, np.sqrt((offset * offset).sum(axis=1)))
     else:
-        st = [project_rings(p, frames, n_arc) for p in T.parts]
-        sr = [project_rings(p, frames, n_arc) for p in R.parts]
+        st = [project_rings(p, frames) for p in T.parts]
+        sr = [project_rings(p, frames) for p in R.parts]
         values[forward] = union_area([intersect_rings(a, b)[0] for a in st for b in sr])
     return values
 
 
-def _shadow_values(T: Region, angles: np.ndarray, n_arc: int) -> np.ndarray:
+def _shadow_values(T: Region, angles: np.ndarray) -> np.ndarray:
     """Shadow measure of the transmitter alone for a batch of directions."""
     frames = direction_frames(angles)[1]
     if T.dimension == 2:
         lo, hi = zip(*(support_intervals(p, frames) for p in T.parts))
         return union_length(np.stack(lo, axis=1), np.stack(hi, axis=1))
-    return union_area([project_rings(p, frames, n_arc) for p in T.parts])
+    return union_area([project_rings(p, frames) for p in T.parts])
 
 
-def mutual_shadow_direction(T: Region, R: Region, direction: Direction, n_arc: int = 256) -> float:
+def mutual_shadow_direction(T: Region, R: Region, direction: Direction) -> float:
     """Overlap measure of the T and R shadows at one illumination direction.
 
     Counted only when the transmitter casts onto the receiver (every T part
@@ -194,7 +195,7 @@ def mutual_shadow_direction(T: Region, R: Region, direction: Direction, n_arc: i
         raise ValueError("regions must share the dimension")
     if direction.is_3d != (T.dimension == 3):
         raise ValueError("direction dimension does not match the regions")
-    return float(_mutual_values(T, R, direction.angles, n_arc)[0])
+    return float(_mutual_values(T, R, direction.angles)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -211,34 +212,31 @@ def _integrate(T: Region, quad: DirectionQuadrature, batch_values) -> MutualShad
                               values, quad.dim, quad.rule)
 
 
-def scene_quadrature(T: Region, R: Region | None, n_directions: int = 4096,
-                     n_theta: int = 128, n_phi: int = 256) -> DirectionQuadrature:
-    """Default direction rule for a scene, panelized at its shadow kinks."""
-    shapes = list(T.parts) + (list(R.parts) if R is not None else [])
+def scene_quadrature(T: Region, R: Region, n_directions: int, n_theta: int,
+                     n_phi: int) -> DirectionQuadrature:
+    """Direction rule for a transmitter-receiver scene, panelized at its shadow kinks."""
+    shapes = list(T.parts) + list(R.parts)
     if T.dimension == 2:
-        pairs = [(ct, cr) for ct in T.centroids for cr in R.centroids] if R is not None else []
+        pairs = [(ct, cr) for ct in T.centroids for cr in R.centroids]
         return scene_circle_quadrature(shapes, n_directions, perpendicular_pairs=pairs)
     return scene_sphere_quadrature(shapes, n_theta, n_phi)
 
 
-def total_mutual_shadow(T: Region, R: Region, quad: DirectionQuadrature | None = None,
-                        n_directions: int = 4096, n_theta: int = 128, n_phi: int = 256,
-                        n_arc: int = 256) -> MutualShadowResult:
-    """Total mutual shadow L_TR (2D) or A_TR (3D) over a direction quadrature."""
+def total_mutual_shadow(T: Region, R: Region, n_directions: int = 4096, n_theta: int = 128,
+                        n_phi: int = 256) -> MutualShadowResult:
+    """Total mutual shadow L_TR (2D) or A_TR (3D) over the scene's direction rule.
+
+    The rule has n_directions azimuths in 2D and n_theta x n_phi directions in 3D.
+    """
     if T.dimension != R.dimension:
         raise ValueError("regions must share the dimension")
-    if quad is None:
-        quad = scene_quadrature(T, R, n_directions, n_theta, n_phi)
-    return _integrate(T, quad, lambda angles: _mutual_values(T, R, angles, n_arc))
+    quad = scene_quadrature(T, R, n_directions, n_theta, n_phi)
+    return _integrate(T, quad, lambda angles: _mutual_values(T, R, angles))
 
 
-def total_shadow(T: Region, quad: DirectionQuadrature | None = None,
-                 n_directions: int = 4096, n_theta: int = 128, n_phi: int = 256,
-                 n_arc: int = 256) -> MutualShadowResult:
+def total_shadow(T: Region, quad: DirectionQuadrature) -> MutualShadowResult:
     """Total transmitter shadow over a (possibly partial) far-field coverage."""
-    if quad is None:
-        quad = scene_quadrature(T, None, n_directions, n_theta, n_phi)
-    return _integrate(T, quad, lambda angles: _shadow_values(T, angles, n_arc))
+    return _integrate(T, quad, lambda angles: _shadow_values(T, angles))
 
 
 # ---------------------------------------------------------------------------
@@ -313,17 +311,14 @@ def _gather_panels(region: Region):
     return (np.vstack(cents), np.concatenate(areas), np.vstack(normals), np.concatenate(diams))
 
 
-def _region_crossings(region: Region, override) -> float:
-    if override is not None:
-        return float(override)
+def _region_crossings(region: Region) -> float:
     values = {p.crossings for p in region.parts}
     if len(values) != 1:
-        raise ValueError("parts disagree on ray-crossing count; pass xi explicitly")
+        raise ValueError("parts disagree on ray-crossing count (closed and open meshes mixed)")
     return values.pop()
 
 
-def mesh_mutual_shadow(T: Region, R: Region, xi_t: float | None = None,
-                       xi_r: float | None = None, threads: int = 1) -> float:
+def mesh_mutual_shadow(T: Region, R: Region, threads: int = 1) -> float:
     """Total mutual shadow area from the panel-pair surface integral.
 
     Midpoint rule over triangle pairs of |n_T (dot) R| |n_R (dot) R| / |R|**4
@@ -335,8 +330,8 @@ def mesh_mutual_shadow(T: Region, R: Region, xi_t: float | None = None,
         raise ValueError(f"threads must be at least 1, got {threads}")
     ct, at, nt, dt = _gather_panels(T)
     cr, ar, nr, dr = _gather_panels(R)
-    xt = _region_crossings(T, xi_t)
-    xr = _region_crossings(R, xi_r)
+    xt = _region_crossings(T)
+    xr = _region_crossings(R)
 
     def work(lo: int, hi: int) -> float:
         rvec = cr[None, :, :] - ct[lo:hi, None, :]  # (m, n, 3)

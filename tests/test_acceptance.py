@@ -27,7 +27,7 @@ from shadowdof.geometry import (
     convex_polygon_intersection,
     mesh_disc,
 )
-from shadowdof.quadrature import circle_quadrature
+from shadowdof.quadrature import circle_quadrature, scene_circle_quadrature
 from shadowdof.scenario import run_scenario
 from shadowdof.shadow import (
     Region,
@@ -91,7 +91,7 @@ def cylinder_run():
     a, n_a = 1.0, 100.0
     t = Region((Disc([0.0, 0.0], a),), "T")
     start = time.perf_counter()
-    msr = total_shadow(t, n_directions=512)
+    msr = total_shadow(t, scene_circle_quadrature(list(t.parts), 512))
     lam = wavelength_for_ndof(msr, n_a, "scalar2d")
     op = assemble_channel(sample_region(t, lam / 5.0),
                           ports_from_quadrature(circle_quadrature(512)),

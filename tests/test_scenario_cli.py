@@ -181,7 +181,7 @@ def test_auto_picks_dense_by_gram_entries(monkeypatch):
 
 def test_method_overrides_are_checked_by_the_config():
     with pytest.raises(ScenarioError, match="method"):
-        run_scenario(lines_config(), method="bogus")
+        dataclasses.replace(lines_config(), method="bogus")
 
 
 # ---------------------------------------------------------------------------
@@ -320,9 +320,27 @@ def test_cli_validate_and_errors(tmp_path, capsys):
     ("farfield", "n_port", 64),
     ("transmitter", "colour", "red"),
     (None, "wavelenght", 0.1),
+    # a key of the other dimension's rule or coverage, as are the 2D scene's n_theta,
+    # n_phi and theta_range above
+    ("quadrature", "n_theta", 24),
+    ("quadrature", "n_phi", 48),
+    ("quadrature3d", "n_directions", 4096),
+    ("farfield", "theta_range", [0.0, 1.0]),
+    ("farfield", "n_theta_ports", 8),
+    ("farfield", "n_phi_ports", 16),
+    ("farfield3d", "n_ports", 64),
+    # bad values of the 3D keys, in a 3D scene
+    ("quadrature3d", "n_theta", 0),
+    ("quadrature3d", "n_theta", 1.9),
+    ("quadrature3d", "n_phi", 2.5),
+    ("farfield3d", "theta_range", [-0.1, 1.0]),
+    ("farfield3d", "theta_range", [0.0, 3.5]),
 ])
 def test_cli_rejects_bad_numbers_at_load(tmp_path, capsys, section, key, value):
     data = yaml.safe_load(TWO_LINES_YAML)
+    if section in ("quadrature3d", "farfield3d"):  # the same section of a 3D scene
+        data = yaml.safe_load((SCENARIOS / "squares_parallel.yaml").read_text())
+        section = section[:-2]
     if section is None:  # a top-level value
         if key == "wavelength":
             del data["target_ndof"]
@@ -494,7 +512,8 @@ def test_cli_summaries_carry_the_shadow_stage(tmp_path):
     for key in ("n_e", "n_k", "method", "route", "n_t", "n_r"):
         assert summaries["capacity"][key] == summaries["spectrum"][key] == library[key]
     assert library["route"] == "rows"  # a dense spectrum reads row blocks
-    sketched, _, _ = run_scenario(load_scenario(TWO_LINES_YAML), method="randomized")
+    sketched, _, _ = run_scenario(
+        dataclasses.replace(load_scenario(TWO_LINES_YAML), method="randomized"))
     assert sketched["route"] == "lattice"
     assert set(library["timings"]) == {"shadow_s", "assemble_s", "spectrum_s"}
     for command in ("shadow", "ndof", "spectrum", "capacity"):  # the CLI adds its writing time
