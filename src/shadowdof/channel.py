@@ -20,7 +20,10 @@ Kong, Microw. Opt. Technol. Lett. 2001).  Every other case (far-field
 ports, the dyadic kernel, end-fire plates, unaligned grids) takes the row
 route, which evaluates the kernel over bounded row spans through one
 ordered map.  Both routes give results independent of the worker thread
-count, and dense materialization never has to happen.
+count, and dense materialization never has to happen.  The sources of
+far-field ports are proved to lie on a lattice on their own
+(``ChannelOperator.source_lattice``), so that the dense spectrum can sum
+the port Gram matrix over lattice runs in closed form.
 """
 
 from __future__ import annotations
@@ -79,6 +82,8 @@ _BLOCK_ROWS = 512
 _BLOCK_ENTRIES = 2**21  # a row span's block holds at most this many entries
 
 _GRID_EPS = 1e-9
+_NEIGHBOUR_POINTS = 2**15  # leading points of a set whose neighbours propose a lattice
+_SITE_CHUNK = 2**15  # points mapped to lattice sites at a time
 
 
 @dataclass(frozen=True, eq=False)
@@ -302,28 +307,82 @@ def ports_from_quadrature(quad: DirectionQuadrature, polarized: bool = False) ->
 
 @dataclass(frozen=True, eq=False)
 class _Lattice:
-    """Both point sets on one lattice: point = origin + index @ steps."""
+    """Point sets on one lattice: set i is origins[i] + indices[i] @ steps."""
 
     steps: np.ndarray  # (q, dim): h times the basis vectors
-    offset: np.ndarray  # (dim,): receiver origin minus transmit origin
-    tx_index: np.ndarray  # (N_T, q) nonnegative integers
-    rx_index: np.ndarray  # (N_R, q)
+    origins: tuple  # (dim,) origin of each set
+    indices: tuple  # (N_i, q) nonnegative integers of each set
+    error: float  # largest coordinate difference between a point and its site
+
+    def runs(self, axis: int) -> tuple[np.ndarray, np.ndarray]:
+        """First sites and one-past-last sites of the first set's maximal runs along an axis.
+
+        A run is a maximal line of consecutive sites n, n + e_axis, ...; the
+        sites of all runs are the set's sites, each once.  Returns two
+        (runs, dim) arrays of points, in the order of the other axes' indices.
+        """
+        index = self.indices[0]
+        others = [index[:, a] for a in range(index.shape[1]) if a != axis]
+        ordered = index[np.lexsort([index[:, axis]] + others[::-1])]
+        step = np.zeros(index.shape[1], dtype=np.int64)
+        step[axis] = 1
+        first = np.flatnonzero(np.r_[True, np.any(np.diff(ordered, axis=0) != step, axis=1)])
+        past = ordered[np.r_[first[1:] - 1, ordered.shape[0] - 1]]
+        past[:, axis] += 1
+        return (self.origins[0] + ordered[first] @ self.steps,
+                self.origins[0] + past @ self.steps)
+
+    def refined(self, points: np.ndarray) -> _Lattice:
+        """This one-set lattice of ``points`` after one refinement step of its steps.
+
+        The least-squares fit over all points leaves a step some ulps off
+        (13 ulps for the 79,563 quarter-arc disc samples), a drift that grows
+        along every run; one step of iterative refinement, the residual's fit
+        by the normal equations (their q x q matrix is exact in integers),
+        brings every site to within a few ulps of its point.
+        """
+        [index] = self.indices
+        normal = np.zeros((index.shape[1], index.shape[1]))
+        residual = np.zeros(self.steps.shape)
+        for rows in _site_chunks(points.shape[0]):
+            m = index[rows] - index[0]
+            normal += m.T @ m
+            residual += m.T @ (points[rows] - points[0] - m @ self.steps)
+        steps = self.steps + np.linalg.solve(normal, residual)
+        origin = points[0] - index[0] @ steps
+        error = max(float(np.abs(points[rows] - origin - index[rows] @ steps).max())
+                    for rows in _site_chunks(points.shape[0]))
+        return _Lattice(steps, (origin,), self.indices, error)
 
 
-def _lattice_of(tx: np.ndarray, rx: np.ndarray) -> _Lattice | None:
-    """The lattice both point sets lie on, or None if that cannot be proved.
+def _stacked(arrays: list[np.ndarray]) -> np.ndarray:
+    return arrays[0] if len(arrays) == 1 else np.vstack(arrays)  # one set: no copy
+
+
+def _site_chunks(n: int):
+    return (slice(lo, lo + _SITE_CHUNK) for lo in range(0, n, _SITE_CHUNK))
+
+
+def _lattice_of(*sides: np.ndarray) -> _Lattice | None:
+    """The lattice one or two point sets lie on, or None if that cannot be proved.
 
     The spacing h is the shortest nearest-neighbour distance and the basis
     the nearest-neighbour vectors of that length, picked greedily while
     each is at least h/2 off the span of the earlier ones (two shortest
-    vectors of a lattice are at least 60 degrees apart).  The step vectors
-    are then fitted by least squares over both sides (steps taken from
-    single neighbour differences put apply 1.3e-12 off the row route at the
-    N_a = 500 spacing), and each point must lie within 1e-9 h of its site.
-    Each side must also span the whole basis: end-fire plates lie on one
-    cubic lattice, but their 3D grid made a pass 7x slower than row blocks
-    at N_a = 100, and crossing segments would need a table as large as H.
-    A lattice whose offset box outgrows H (parts far apart) is refused too.
+    vectors of a lattice are at least 60 degrees apart).  Neighbours are
+    looked up among the first 2**15 points of each set only, one kd-tree
+    per set: sampled regions come in grid order, so those points are a
+    connected piece of the grid, and any basis they propose is checked on
+    every point (a tree over all 1,273,226 samples of a disc held 47 MB).
+    The step vectors are fitted by least squares over all points of all
+    sets (steps taken from single neighbour differences put apply 1.3e-12
+    off the row route at the N_a = 500 spacing), and each point must lie
+    within 1e-9 h of its site; points are mapped to sites in chunks of
+    2**15.  Each set must also span the whole basis: end-fire plates lie on
+    one cubic lattice, but their 3D grid made a pass 7x slower than row
+    blocks at N_a = 100, and crossing segments would need a table as large
+    as H.  A two-set lattice whose offset box outgrows H (parts far apart)
+    is refused too.
     Sphere pairs keep their 3D grid: on a 2-core Xeon a 300-column apply of
     two spheres at radius 18 h (24,405 points a side, grid 75^3) took
     10.8 s against 72.1 s on row blocks, and 2.9 s against 7.2 s at 12 h;
@@ -331,35 +390,43 @@ def _lattice_of(tx: np.ndarray, rx: np.ndarray) -> _Lattice | None:
     at which the 'auto' method takes the dense spectrum, which reads row
     blocks on either route.
     """
-    sides = (tx, rx)
     if min(p.shape[0] for p in sides) < 2:
         return None
-    near = [cKDTree(p).query(p, k=2) for p in sides]
+    heads = [p[:_NEIGHBOUR_POINTS] for p in sides]
+    near = [cKDTree(head).query(head, k=2) for head in heads]
     h = min(float(dist[:, 1].min()) for dist, _ in near)
     if h <= 0.0:
         return None
-    vectors = np.vstack([p[j[:, 1]] - p for p, (_, j) in zip(sides, near)])
+    vectors = np.vstack([head[j[:, 1]] - head for head, (_, j) in zip(heads, near)])
     vectors = vectors[np.linalg.norm(vectors, axis=1) <= h * (1.0 + _GRID_EPS)]
-    basis = np.zeros((0, tx.shape[1]))
-    for _ in range(tx.shape[1]):
+    basis = np.zeros((0, sides[0].shape[1]))
+    for _ in range(sides[0].shape[1]):
         q, _ = np.linalg.qr(basis.T)
         off = np.linalg.norm(vectors - (vectors @ q) @ q.T, axis=1)
         i = int(np.argmax(off))
         if off[i] < 0.5 * h:
             break
         basis = np.vstack([basis, vectors[i]])
-    index = [np.rint((p - p[0]) @ np.linalg.pinv(basis)).astype(np.int64) for p in sides]
+    to_basis = np.linalg.pinv(basis)
+    index = [np.empty((p.shape[0], basis.shape[0]), dtype=np.int64) for p in sides]
+    for p, n in zip(sides, index):
+        for rows in _site_chunks(p.shape[0]):
+            n[rows] = np.rint((p[rows] - p[0]) @ to_basis)
     if any(np.linalg.matrix_rank(n) < basis.shape[0] for n in index):
         return None
-    steps = np.linalg.lstsq(np.vstack(index), np.vstack([p - p[0] for p in sides]),
+    steps = np.linalg.lstsq(_stacked(index), _stacked([p - p[0] for p in sides]),
                             rcond=None)[0]
-    if max(float(np.abs(p - p[0] - n @ steps).max()) for p, n in zip(sides, index)) > _GRID_EPS * h:
+    error = max(float(np.abs(p[rows] - p[0] - n[rows] @ steps).max())
+                for p, n in zip(sides, index) for rows in _site_chunks(p.shape[0]))
+    if error > _GRID_EPS * h:
         return None
-    index = [n - n.min(axis=0) for n in index]
-    if np.prod(index[0].max(axis=0) + index[1].max(axis=0) + 1) > tx.shape[0] * rx.shape[0]:
+    for n in index:
+        n -= n.min(axis=0)
+    if len(sides) == 2 and (np.prod(index[0].max(axis=0) + index[1].max(axis=0) + 1)
+                            > sides[0].shape[0] * sides[1].shape[0]):
         return None
-    origin_t, origin_r = (p[0] - n[0] @ steps for p, n in zip(sides, index))
-    return _Lattice(steps, origin_r - origin_t, *index)
+    origins = tuple(p[0] - n[0] @ steps for p, n in zip(sides, index))
+    return _Lattice(steps, origins, tuple(index), error)
 
 
 # ---------------------------------------------------------------------------
@@ -432,6 +499,24 @@ class ChannelOperator:
         return "rows" if self._lattice_table is None else "lattice"
 
     @cached_property
+    def source_lattice(self) -> _Lattice | None:
+        """The refined lattice the transmit points lie on, for far-field ports only.
+
+        ``dense_spectrum`` sums the port-side Gram matrix over its runs in
+        closed form, so the sites must match the points to rounding, not
+        just to 1e-9 h.  None where ``_lattice_of`` proves no lattice, and for
+        point receivers, which plan their lattice from both sets.
+        """
+        lattice = _lattice_of(self.tx_points) if self.ports is not None else None
+        return None if lattice is None else lattice.refined(self.tx_points)
+
+    @property
+    def port_factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+        """(khat, sqrt(weight), polarization vector or None) of the far-field port rows."""
+        khats, sqrtw, *pols = self._receiver
+        return khats, sqrtw, (pols[0] if pols else None)
+
+    @cached_property
     def _lattice_table(self):
         """(transmit sites, receiver sites, table FFT) of the lattice route, or None.
 
@@ -444,11 +529,12 @@ class ChannelOperator:
                    if self.kind in ("scalar2d", "scalar3d") else None)
         if lattice is None:
             return None
-        rx_extent = lattice.rx_index.max(axis=0) + 1
-        box = lattice.tx_index.max(axis=0) + rx_extent
+        tx_index, rx_index = lattice.indices
+        rx_extent = rx_index.max(axis=0) + 1
+        box = tx_index.max(axis=0) + rx_extent
         grid = tuple(fft.next_fast_len(int(n)) for n in box)
-        tx_at = np.ravel_multi_index(lattice.tx_index.T, grid)
-        rx_at = np.ravel_multi_index(lattice.rx_index.T, grid)
+        tx_at = np.ravel_multi_index(tx_index.T, grid)
+        rx_at = np.ravel_multi_index(rx_index.T, grid)
         masks = []
         for at in (rx_at, tx_at):
             mask = np.zeros(grid)
@@ -458,7 +544,7 @@ class ChannelOperator:
         realised = np.flatnonzero(pairs > 0.5)  # offset index wrapped onto the grid
         wrapped = np.array(np.unravel_index(realised, grid)).T
         delta = np.where(wrapped < rx_extent, wrapped, wrapped - grid)
-        offsets = lattice.offset + delta @ lattice.steps
+        offsets = (lattice.origins[1] - lattice.origins[0]) + delta @ lattice.steps
         # a coincident pair is exactly zero apart, as row_block sees it
         h = float(np.linalg.norm(lattice.steps, axis=1).min())
         offsets[np.linalg.norm(offsets, axis=1) <= _GRID_EPS * h] = 0.0

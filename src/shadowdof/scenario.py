@@ -390,7 +390,7 @@ def run_scenario(config: ScenarioConfig, threads: int = 1):
     spec = compute_spectrum(config, op, summary["n_a"])
     timings["spectrum_s"] = time.perf_counter() - t2
     summary.update({"n_e": spec.n_effective, "n_k": spec.n_knee, "method": spec.method,
-                    "route": "rows" if spec.method == "dense" else op.route,
+                    "route": spec.route,
                     "n_t": op.n_cols, "n_r": op.n_rows})
     return summary, msr, spec
 

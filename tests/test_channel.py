@@ -452,13 +452,40 @@ def test_lattice_coincident_lattices():
     tx = _samples([ConvexPolygon([[0.0, 0.0], [0.8, 0.0], [0.0, 0.8]])], step)
     rx = _samples([ConvexPolygon([[1.0, 0.2], [1.0, 1.0], [0.2, 1.0]])], step)
     lattice = _lattice_of(tx.points, rx.points)
-    zero = -lattice.offset @ np.linalg.pinv(lattice.steps)
+    tx_index, rx_index = lattice.indices
+    zero = (lattice.origins[0] - lattice.origins[1]) @ np.linalg.pinv(lattice.steps)
     assert np.allclose(zero, np.rint(zero), rtol=0, atol=1e-9)
-    assert np.all(zero > -lattice.tx_index.max(axis=0) - 1)
-    assert np.all(zero < lattice.rx_index.max(axis=0) + 1)
+    assert np.all(zero > -tx_index.max(axis=0) - 1)
+    assert np.all(zero < rx_index.max(axis=0) + 1)
     op = assemble_channel(tx, rx, k)
     assert op.route == "lattice"
     _assert_matches_rows(op)
+
+
+def test_source_lattice_runs_cover_every_source():
+    # more samples than the 2**15 whose neighbours propose the basis
+    tx = _samples([Disc([0.1, -0.2], 0.5)], 0.0045)
+    assert tx.count > 2**15
+    op = assemble_channel(tx, ports_from_quadrature(circle_quadrature(8)), _K)
+    lattice = op.source_lattice
+    [index] = lattice.indices
+    sites = lattice.origins[0] + index @ lattice.steps
+    # the refined sites match the points to rounding, as the closed-form Gram needs
+    assert np.abs(sites - tx.points).max() == lattice.error
+    assert lattice.error <= 4 * np.finfo(float).eps * np.abs(tx.points).max()
+    for axis, step in enumerate(lattice.steps):
+        lo, hi = lattice.runs(axis)
+        lengths = np.rint((hi - lo) @ step / (step @ step)).astype(np.int64)
+        assert lengths.min() >= 1 and lengths.sum() == tx.count
+        covered = np.vstack([start + np.arange(n)[:, None] * step for start, n in zip(lo, lengths)])
+        covered = np.rint((covered - lattice.origins[0]) @ np.linalg.pinv(lattice.steps))
+        assert np.array_equal(np.unique(covered.astype(np.int64), axis=0),
+                              np.unique(index, axis=0))
+
+
+def test_point_receivers_have_no_source_lattice():
+    tx, rx = LATTICE_PAIRS["discs"]()
+    assert assemble_channel(tx, rx, _K).source_lattice is None
 
 
 def test_lattice_coincident_pair_raises():

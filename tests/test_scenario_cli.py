@@ -209,7 +209,7 @@ def test_run_scenario_circle_farfield():
     # a / lambda = N_a / (4 pi)
     a_over_lambda = 1.0 / summary["wavelength"]
     assert a_over_lambda == pytest.approx(100.0 / (4 * math.pi), rel=1e-12)
-    assert summary["route"] == "rows"  # far-field ports have no lattice
+    assert summary["route"] == "lattice"  # disc sources: the port Gram in closed form
 
 
 def test_run_scenario_empty_coverage():
@@ -511,7 +511,7 @@ def test_cli_summaries_carry_the_shadow_stage(tmp_path):
             assert summary[key] == library[key], (command, key)
     for key in ("n_e", "n_k", "method", "route", "n_t", "n_r"):
         assert summaries["capacity"][key] == summaries["spectrum"][key] == library[key]
-    assert library["route"] == "rows"  # a dense spectrum reads row blocks
+    assert library["route"] == "rows"  # a dense spectrum of point receivers reads row blocks
     sketched, _, _ = run_scenario(
         dataclasses.replace(load_scenario(TWO_LINES_YAML), method="randomized"))
     assert sketched["route"] == "lattice"
@@ -534,6 +534,20 @@ def test_cli_rerun_byte_identical(tmp_path):
                  "--threads", "8"]) == 0
     assert (out1 / "spectrum.csv").read_bytes() == (out2 / "spectrum.csv").read_bytes()
     assert (out1 / "shadow.csv").read_bytes() == (out2 / "shadow.csv").read_bytes()
+
+
+def test_cylinder_lattice_gram_byte_identical(tmp_path):
+    # the bundled far-field disc takes the closed-form port Gram; its spectrum
+    # must not depend on --threads or on the run
+    cfg = str(SCENARIOS / "cylinder_full.yaml")
+    runs = [("a", "1"), ("b", "2"), ("c", "1")]
+    for name, threads in runs:
+        assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / name),
+                     "--threads", threads]) == 0
+    summary = json.loads((tmp_path / "a" / "summary.json").read_text())
+    assert (summary["route"], summary["n_r"], summary["n_t"]) == ("lattice", 512, 4968)
+    first, *others = [(tmp_path / name / "spectrum.csv").read_bytes() for name, _ in runs]
+    assert all(other == first for other in others)
 
 
 def test_reproduce_small_figures(tmp_path):

@@ -8,6 +8,7 @@ import pytest
 from shadowdof import spectra
 from shadowdof.channel import (
     ChannelOperator,
+    SampleSet,
     assemble_channel,
     ports_from_quadrature,
     sample_region,
@@ -121,6 +122,33 @@ def _gram_case(name):
         ball = sample_region(Region((Sphere([0, 0, 0], 0.3),), "T"), 0.04)
         ports = ports_from_quadrature(sphere_quadrature(6, 12), polarized=True)
         return assemble_channel(ball, ports, 2 * math.pi / 0.2)
+    if name == "jittered-sources":  # 96 x 1961 within 1e-11 h of the lattice, not to rounding
+        disc = sample_region(Region((Disc([0.0, 0.0], 0.5),), "T"), 0.02)
+        jitter = np.random.default_rng(5).uniform(-2e-13, 2e-13, disc.points.shape)
+        return assemble_channel(SampleSet(disc.points + jitter, disc.spacing),
+                                ports_from_quadrature(circle_quadrature(96)), k2d)
+    if name == "tall-farfield":  # 96 x 32, N_R > N_T
+        disc = sample_region(Region((Disc([0.0, 0.0], 0.07),), "T"), 0.02)
+        return assemble_channel(disc, ports_from_quadrature(circle_quadrature(96)), k2d)
+    if name == "offset-grids":  # 64 x 968: the second disc's grid is not the first's
+        discs = sample_region(Region((Disc([0.0, 0.0], 0.25), Disc([0.61, 0.0], 0.25)), "T"),
+                              0.02)
+        return assemble_channel(discs, ports_from_quadrature(circle_quadrature(64)), k2d)
+    if name == "coarse-sources":  # 4 x 88 at spacing lambda / sqrt(2)
+        # ports at 45 + 90 i degrees differ by sqrt(2) along an axis or by (sqrt(2),
+        # sqrt(2)): their phase steps are whole turns on every axis (aliasing)
+        disc = sample_region(Region((Disc([0.0, 0.0], 0.38),), "T"), 0.1 / math.sqrt(2))
+        return assemble_channel(disc, ports_from_quadrature(circle_quadrature(4)), k2d)
+    if name in ("mirror-plate", "plate-hemisphere"):  # 72 x 576 and 36 x 576
+        # a planar lattice in 3D: over the whole sphere, ports at theta and
+        # pi - theta mirror across it; over the upper hemisphere none do
+        square = PlanarPolygon([[-0.6, -0.6, 3], [0.6, -0.6, 3], [0.6, 0.6, 3], [-0.6, 0.6, 3]],
+                               [0, 0, 1.0])
+        plate = sample_region(Region((square,), "T"), 0.05)
+        thetas = (0.0, math.pi if name == "mirror-plate" else math.pi / 2)
+        ports = ports_from_quadrature(sphere_quadrature(6 if name == "mirror-plate" else 3, 12,
+                                                        theta_range=thetas))
+        return assemble_channel(plate, ports, 2 * math.pi / 0.25)
     k3d = 4.0
     step = 2 * math.pi / k3d / 5
     ball = sample_region(Region((Sphere([0, 0, 0], 0.6),), "T"), step)
@@ -132,12 +160,17 @@ def _gram_case(name):
     return assemble_channel(plate, ball, k3d, kind="dyadic3d")  # dyadic-tall, 81 x 48
 
 
-GRAM_CASES = ["wide-farfield", "tall-points", "square", "dyadic-wide", "dyadic-tall",
-              "polarized", "ndarray"]
+# case -> where its Gram matrix comes from: the closed form over lattice runs
+# (far-field ports over lattice sources) or streamed blocks
+GRAM_CASES = {"wide-farfield": "lattice", "tall-points": "rows", "square": "rows",
+              "dyadic-wide": "rows", "dyadic-tall": "rows", "polarized": "lattice",
+              "ndarray": "rows", "tall-farfield": "rows", "offset-grids": "rows",
+              "coarse-sources": "rows", "mirror-plate": "rows", "jittered-sources": "rows",
+              "plate-hemisphere": "lattice"}
 
 
 @pytest.mark.parametrize("block_span", [256, 7], ids=["default-blocks", "small-blocks"])
-@pytest.mark.parametrize("name", GRAM_CASES)
+@pytest.mark.parametrize("name", list(GRAM_CASES))
 def test_gram_route_matches_svd(name, block_span, monkeypatch):
     h = _gram_case(name)
     matrix = h.dense() if isinstance(h, ChannelOperator) else h
@@ -148,8 +181,14 @@ def test_gram_route_matches_svd(name, block_span, monkeypatch):
             raise AssertionError("the dense route materialized the operator")
 
         monkeypatch.setattr(ChannelOperator, "dense", refuse)
+    if GRAM_CASES[name] == "lattice":
+        def refuse_blocks(*args, **kwargs):
+            raise AssertionError("the port Gram streamed blocks")
+
+        monkeypatch.setattr(spectra, "_blocks", refuse_blocks)
     spec = dense_spectrum(h)
     assert spec.method == "dense"
+    assert spec.route == GRAM_CASES[name]
     assert spec.n_values == min(matrix.shape)
     top = ref.sigma[0]
     assert np.all(np.abs(spec.sigma - ref.sigma) <= 1e-12 * top)
@@ -159,6 +198,32 @@ def test_gram_route_matches_svd(name, block_span, monkeypatch):
     assert np.all(np.abs(spec.sigma[upper] - ref.sigma[upper]) <= 1e-10 * ref.sigma[upper])
     assert spec.n_effective == pytest.approx(ref.n_effective, rel=1e-12)
     assert spec.n_knee == ref.n_knee
+
+
+@pytest.mark.parametrize("name,lattice", [("tall-farfield", True), ("offset-grids", False),
+                                          ("coarse-sources", True), ("mirror-plate", True),
+                                          ("jittered-sources", True)])
+def test_port_gram_streams_without_a_usable_closed_form(name, lattice):
+    # N_R > N_T, no lattice, a pair of distinct directions with rho = 1 on every
+    # axis, or sources on the lattice only to 1e-11 h
+    h = _gram_case(name)
+    assert (h.source_lattice is not None) == lattice
+    if h.n_rows <= h.n_cols:
+        assert spectra._lattice_gram(h) is None
+
+
+def test_port_gram_pairs_of_one_direction_are_exact():
+    # scalar: the diagonal is w N_T; polarized: theta/phi ports of one direction
+    # give w N_T on the diagonal and their projection p_theta . p_phi = 0 off it
+    for name in ("wide-farfield", "polarized"):
+        h = _gram_case(name)
+        gram = spectra._lattice_gram(h)
+        _, sqrtw, _ = h.port_factors
+        n_src = h.tx_points.shape[0]
+        assert np.allclose(np.diag(gram), sqrtw**2 * n_src, rtol=1e-15, atol=0)
+        if name == "polarized":
+            pairs = gram[np.arange(0, h.n_rows, 2), np.arange(1, h.n_rows, 2)]
+            assert np.all(np.abs(pairs) <= 1e-15 * sqrtw[::2] ** 2 * n_src)
 
 
 def test_gram_route_cap_counts_gram_and_block(monkeypatch):
