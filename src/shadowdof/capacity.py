@@ -66,9 +66,20 @@ def _as_matrix(f) -> np.ndarray:
     return np.asarray(f)
 
 
-def _cholesky_upper(r_x: np.ndarray) -> np.ndarray:
-    """Upper-triangular G with R_x = G^H G, or NotSPDError."""
+def _constraint(r_x, n: int | None = None) -> float | np.ndarray:
+    """rho of a scalar constraint rho * I, else the upper G with R_x = G^H G.
+
+    Raises NotSPDError for rho <= 0 and for a matrix that is not n x n (when
+    n is given), square, Hermitian or positive definite.
+    """
+    if np.isscalar(r_x):
+        rho = float(r_x)
+        if rho <= 0:
+            raise NotSPDError("scalar constraint must be positive")
+        return rho
     r_x = np.asarray(r_x)
+    if n is not None and r_x.shape != (n, n):
+        raise NotSPDError(f"constraint matrix must be {n} x {n}")
     if r_x.ndim != 2 or r_x.shape[0] != r_x.shape[1]:
         raise NotSPDError("constraint matrix must be square")
     if not np.allclose(r_x, r_x.conj().T, rtol=1e-10, atol=1e-12):
@@ -80,6 +91,23 @@ def _cholesky_upper(r_x: np.ndarray) -> np.ndarray:
     return lower.conj().T
 
 
+def _whitened(g: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """G^{-H} rows^H, whose column p has squared norm F_p R_x^{-1} F_p^H."""
+    return scipy.linalg.solve_triangular(g.conj().T, rows.conj().T, lower=True)
+
+
+def _modes(fm: np.ndarray, constraint) -> RadiationModes:
+    """Radiation modes of F under rho or the Cholesky factor from ``_constraint``."""
+    if isinstance(constraint, float):
+        _, svals, vh = np.linalg.svd(fm, full_matrices=False)
+        nu = svals**2 / constraint
+        currents = vh.conj().T / math.sqrt(constraint)
+        return RadiationModes(nu, currents, f"{constraint} * I")
+    _, svals, vh = np.linalg.svd(_whitened(constraint, fm).conj().T, full_matrices=False)
+    currents = scipy.linalg.solve_triangular(constraint, vh.conj().T, lower=False)
+    return RadiationModes(svals**2, currents, "user SPD matrix")
+
+
 def radiation_modes(f, r_x) -> RadiationModes:
     """Solve F^H Lambda^2 F I = nu R_x I via R_x = G^H G and SVD of F G^{-1}.
 
@@ -88,26 +116,7 @@ def radiation_modes(f, r_x) -> RadiationModes:
     of F divided by rho.
     """
     fm = _as_matrix(f)
-    n_t = fm.shape[1]
-    if np.isscalar(r_x):
-        rho = float(r_x)
-        if rho <= 0:
-            raise NotSPDError("scalar constraint must be positive")
-        u, svals, vh = np.linalg.svd(fm, full_matrices=False)
-        nu = svals**2 / rho
-        currents = vh.conj().T / math.sqrt(rho)
-        label = f"{rho} * I"
-    else:
-        r_x = np.asarray(r_x)
-        if r_x.shape != (n_t, n_t):
-            raise NotSPDError(f"constraint matrix must be {n_t} x {n_t}")
-        g = _cholesky_upper(r_x)
-        h = scipy.linalg.solve_triangular(g.conj().T, fm.conj().T, lower=True).conj().T
-        u, svals, vh = np.linalg.svd(h, full_matrices=False)
-        nu = svals**2
-        currents = scipy.linalg.solve_triangular(g, vh.conj().T, lower=False)
-        label = "user SPD matrix"
-    return RadiationModes(nu, currents, label)
+    return _modes(fm, _constraint(r_x, fm.shape[1]))
 
 
 def trace_identity(f, lam2, r_x) -> tuple[float, float, float]:
@@ -116,7 +125,8 @@ def trace_identity(f, lam2, r_x) -> tuple[float, float, float]:
     f holds the *unweighted* far-field rows and lam2 the port weights.
     Returns (lhs, rhs, relative mismatch).  The left side sums the
     generalized eigenvalues; the right side evaluates the per-row quadratic
-    forms with a direct solve, no eigendecomposition involved.
+    forms with a triangular solve against R_x's Cholesky factor, no
+    eigendecomposition involved.
     """
     fm = _as_matrix(f)
     lam2 = np.asarray(lam2, dtype=float)
@@ -124,16 +134,12 @@ def trace_identity(f, lam2, r_x) -> tuple[float, float, float]:
         raise ValueError("one weight per far-field row required")
     if np.any(lam2 <= 0):
         raise ValueError("port weights must be positive")
-    weighted = np.sqrt(lam2)[:, None] * fm
-    lhs = float(np.sum(radiation_modes(weighted, r_x).efficiencies))
-    if np.isscalar(r_x):
-        if float(r_x) <= 0:
-            raise NotSPDError("scalar constraint must be positive")
-        solved = fm.conj().T / float(r_x)
+    constraint = _constraint(r_x, fm.shape[1])
+    lhs = float(np.sum(_modes(np.sqrt(lam2)[:, None] * fm, constraint).efficiencies))
+    if isinstance(constraint, float):
+        quad = np.real(np.einsum("pn,np->p", fm, fm.conj().T / constraint))
     else:
-        _cholesky_upper(np.asarray(r_x))  # SPD validation
-        solved = np.linalg.solve(np.asarray(r_x), fm.conj().T)
-    quad = np.real(np.einsum("pn,np->p", fm, solved))  # F_p R^{-1} F_p^H per row
+        quad = np.sum(np.abs(_whitened(constraint, fm)) ** 2, axis=0)  # F_p R^{-1} F_p^H per row
     rhs = float(np.sum(lam2 * quad))
     return lhs, rhs, abs(lhs - rhs) / abs(lhs)
 
@@ -148,13 +154,11 @@ def max_effective_area(f_row, r_x, wavelength: float) -> float:
     if wavelength <= 0:
         raise ValueError("wavelength must be positive")
     row = np.asarray(f_row).reshape(-1)
-    if np.isscalar(r_x):
-        if float(r_x) <= 0:
-            raise NotSPDError("scalar constraint must be positive")
-        quad = float(np.real(row @ row.conj())) / float(r_x)
+    constraint = _constraint(r_x)
+    if isinstance(constraint, float):
+        quad = float(np.real(row @ row.conj())) / constraint
     else:
-        _cholesky_upper(np.asarray(r_x))
-        quad = float(np.real(row @ np.linalg.solve(np.asarray(r_x), row.conj())))
+        quad = float(np.sum(np.abs(_whitened(constraint, row[None, :])) ** 2))
     return wavelength**2 * quad
 
 

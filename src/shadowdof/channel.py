@@ -9,19 +9,21 @@ square root of the port quadrature weight.  Each channel kind has one
 block kernel, (receiver rows, transmit sources) -> block; the point Green's
 functions are 1x1 calls of the same kernels.
 
-The operator applies itself and its adjoint by one of two routes, chosen
-once from the points alone.  When both point sets lie on one lattice (one
-basis and spacing, any offset between the two; parallel segments, discs,
+The sampler lays each part of a region on a grid, an origin plus integer
+combinations of h times a basis, and a region of one part keeps that grid
+as its lattice.  The operator applies itself and its adjoint by one of two
+routes, chosen once from the two sample sets.  When both carry a lattice of
+one basis and spacing (any offset between the two; parallel segments, discs,
 polygons, parallel plates and spheres sampled at one spacing), H[i, j]
 depends only on the integer offset between receiver i and source j, so H is
 a masked multilevel block-Toeplitz matrix: the lattice route applies it as
 a zero-padded FFT convolution with one kernel table (Barrowes, Teixeira &
 Kong, Microw. Opt. Technol. Lett. 2001).  Every other case (far-field
-ports, the dyadic kernel, end-fire plates, unaligned grids) takes the row
-route, which evaluates the kernel over bounded row spans through one
-ordered map.  Both routes give results independent of the worker thread
-count, and dense materialization never has to happen.  The sources of
-far-field ports are proved to lie on a lattice on their own
+ports, the dyadic kernel, end-fire plates, meshes, multi-part regions,
+sample sets built by hand) takes the row route, which evaluates the kernel
+over bounded row spans through one ordered map.  Both routes give results
+independent of the worker thread count, and dense materialization never
+has to happen.  The sources of far-field ports keep their lattice
 (``ChannelOperator.source_lattice``), so that the dense spectrum can sum
 the port Gram matrix over lattice runs in closed form.
 """
@@ -29,7 +31,7 @@ the port Gram matrix over lattice runs in closed form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -82,16 +84,55 @@ _BLOCK_ROWS = 512
 _BLOCK_ENTRIES = 2**21  # a row span's block holds at most this many entries
 
 _GRID_EPS = 1e-9
-_NEIGHBOUR_POINTS = 2**15  # leading points of a set whose neighbours propose a lattice
 _SITE_CHUNK = 2**15  # points mapped to lattice sites at a time
 
 
 @dataclass(frozen=True, eq=False)
+class _Lattice:
+    """The grid a part was sampled on: point i lies at origin + index[i] @ steps."""
+
+    origin: np.ndarray  # (dim,)
+    steps: np.ndarray  # (q, dim): the spacing h times the basis vectors
+    index: np.ndarray  # (N, q) nonnegative integers, one row per point
+
+    def runs(self, axis: int) -> tuple[np.ndarray, np.ndarray]:
+        """First sites and one-past-last sites of the maximal runs along an axis.
+
+        A run is a maximal line of consecutive sites n, n + e_axis, ...; the
+        sites of all runs are the set's sites, each once.  Returns two
+        (runs, dim) arrays of points, in the order of the other axes' indices.
+        """
+        index = self.index
+        others = [index[:, a] for a in range(index.shape[1]) if a != axis]
+        ordered = index[np.lexsort([index[:, axis]] + others[::-1])]
+        step = np.zeros(index.shape[1], dtype=np.int64)
+        step[axis] = 1
+        first = np.flatnonzero(np.r_[True, np.any(np.diff(ordered, axis=0) != step, axis=1)])
+        past = ordered[np.r_[first[1:] - 1, ordered.shape[0] - 1]]
+        past[:, axis] += 1
+        return self.origin + ordered[first] @ self.steps, self.origin + past @ self.steps
+
+    def error(self, points: np.ndarray) -> float:
+        """Largest coordinate difference between a point and its site."""
+        error = 0.0
+        for lo in range(0, points.shape[0], _SITE_CHUNK):
+            sites = self.origin + self.index[lo:lo + _SITE_CHUNK] @ self.steps
+            error = max(error, float(np.abs(points[lo:lo + _SITE_CHUNK] - sites).max()))
+        return error
+
+
+@dataclass(frozen=True, eq=False)
 class SampleSet:
-    """Uniformly spaced point samples of a region."""
+    """Uniformly spaced point samples of a region.
+
+    ``lattice`` is the grid the sampler laid over a region of one lattice
+    part (segment, disc, polygon, sphere or plate); it is None for meshes,
+    multi-part regions and sets built by hand, whose channels take row blocks.
+    """
 
     points: np.ndarray  # (N, dim)
     spacing: float
+    lattice: _Lattice | None = field(default=None, repr=False)
 
     def __post_init__(self):
         p = np.asarray(self.points, dtype=float)
@@ -99,6 +140,8 @@ class SampleSet:
             raise ValueError("points must have shape (N, 2) or (N, 3)")
         if self.spacing <= 0:
             raise ValueError("spacing must be positive")
+        if self.lattice is not None and self.lattice.index.shape[0] != p.shape[0]:
+            raise ValueError("lattice needs one index row per point")
         object.__setattr__(self, "points", p)
 
     @property
@@ -110,36 +153,55 @@ class SampleSet:
         return self.points.shape[1]
 
 
-def _grid_1d(lo: float, hi: float, step: float) -> np.ndarray:
-    n = int(math.floor((hi - lo) / step + _GRID_EPS))
-    return lo + step * np.arange(n + 1)
+def _grid_count(lo: float, hi: float, step: float) -> int:
+    return int(math.floor((hi - lo) / step + _GRID_EPS)) + 1
 
 
-def _box_lattice(lo: np.ndarray, hi: np.ndarray, step: float) -> np.ndarray:
-    """Grid points of the given step from corner lo up to hi, in any dimension."""
-    axes = np.meshgrid(*(_grid_1d(a, b, step) for a, b in zip(lo, hi)), indexing="ij")
-    return np.stack(axes, axis=-1).reshape(-1, len(axes))
+def _grid_axes(lo: np.ndarray, hi: np.ndarray, step: float) -> list[np.ndarray]:
+    """Per axis, the grid coordinates of the given step from corner lo up to hi."""
+    return [a + step * np.arange(_grid_count(a, b, step)) for a, b in zip(lo, hi)]
 
 
-def _convex_piece(ring: np.ndarray, step: float, frame=None) -> np.ndarray:
+def _sites(lo: np.ndarray, step: float, inside: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index of a box mask's true entries, in grid order, and their points lo + step * index.
+
+    The points equal the grid coordinates of ``_grid_axes`` bit for bit.
+    """
+    index = np.column_stack(np.nonzero(inside))
+    return index, lo + step * index
+
+
+def _convex_piece(ring: np.ndarray, step: float, frame=None) -> tuple[np.ndarray, _Lattice]:
     """Grid points inside a flat convex CCW ring, mapped by frame = (origin, e1, e2) to 3D."""
-    pts = _box_lattice(ring.min(axis=0), ring.max(axis=0), step)
-    pts = pts[points_in_convex_polygon(pts, ring)]
+    lo = ring.min(axis=0)
+    x, y = _grid_axes(lo, ring.max(axis=0), step)
+    box = np.column_stack([np.repeat(x, y.size), np.tile(y, x.size)])
+    index, pts = _sites(lo, step, points_in_convex_polygon(box, ring).reshape(x.size, y.size))
     if frame is None:
-        return pts
+        return pts, _Lattice(lo, step * np.eye(2), index)
     origin, e1, e2 = frame
-    return origin[None, :] + pts[:, 0:1] * e1[None, :] + pts[:, 1:2] * e2[None, :]
+    pts = origin[None, :] + pts[:, 0:1] * e1[None, :] + pts[:, 1:2] * e2[None, :]
+    return pts, _Lattice(origin + lo[0] * e1 + lo[1] * e2, step * np.array([e1, e2]), index)
 
 
-def _sample_shape(shape, step: float) -> np.ndarray:
+def _sample_shape(shape, step: float) -> tuple[np.ndarray, _Lattice | None]:
+    """A shape's grid points and the lattice they lie on (None for a mesh)."""
     if isinstance(shape, Segment):
         e = shape.end - shape.start
         length = float(np.linalg.norm(e))
-        t = _grid_1d(0.0, length, step) / length
-        return shape.start[None, :] + t[:, None] * e[None, :]
+        index = np.arange(_grid_count(0.0, length, step))
+        t = step * index / length
+        return (shape.start[None, :] + t[:, None] * e[None, :],
+                _Lattice(shape.start, (step / length) * e[None, :], index[:, None]))
     if isinstance(shape, (Disc, Sphere)):
-        pts = _box_lattice(shape.center - shape.radius, shape.center + shape.radius, step)
-        return pts[np.linalg.norm(pts - shape.center[None, :], axis=1) <= shape.radius + 1e-12]
+        lo = shape.center - shape.radius
+        axes = _grid_axes(lo, shape.center + shape.radius, step)
+        # squared distances summed over the axes in order, as np.linalg.norm over the
+        # box's points sums them, without holding those points
+        dist2 = sum(np.square(x - c).reshape([-1 if b == a else 1 for b in range(len(axes))])
+                    for a, (x, c) in enumerate(zip(axes, shape.center)))
+        index, pts = _sites(lo, step, np.sqrt(dist2) <= shape.radius + 1e-12)
+        return pts, _Lattice(lo, step * np.eye(len(axes)), index)
     if isinstance(shape, ConvexPolygon):
         return _convex_piece(shape.vertices, step)
     if isinstance(shape, PlanarPolygon):
@@ -154,23 +216,31 @@ def _sample_shape(shape, step: float) -> np.ndarray:
             r2 = (c - a) - ((c - a) @ t1) * t1
             n2 = float(np.linalg.norm(r2))
             flat = np.array([[0.0, 0.0], [n1, 0.0], [(c - a) @ t1, n2]])
-            pieces.append(_convex_piece(flat, step, (a, t1, r2 / n2)))
-        return np.vstack(pieces)
+            pieces.append(_convex_piece(flat, step, (a, t1, r2 / n2))[0])
+        return np.vstack(pieces), None
     raise TypeError(f"not a shape: {type(shape).__name__}")
 
 
 def sample_region(region: Region, spacing: float) -> SampleSet:
-    """Uniform grid of the given spacing intersected with the region."""
+    """Uniform grid of the given spacing intersected with the region.
+
+    A region of one lattice part keeps the sampler's lattice, whose sites are
+    distinct; the points of several parts or of a mesh keep their first
+    occurrences, in order, so shared part and triangle boundaries count once.
+    """
     if spacing <= 0:
         raise ValueError("spacing must be positive")
-    pts = np.vstack([_sample_shape(p, spacing) for p in region.parts])
+    if len(region.parts) == 1:
+        pts, lattice = _sample_shape(region.parts[0], spacing)
+    else:
+        pts, lattice = np.vstack([_sample_shape(p, spacing)[0] for p in region.parts]), None
     if pts.shape[0] == 0:
         raise EmptySamplingError(
             f"no sample point inside region {region.label!r} at spacing {spacing}")
-    # drop duplicates (shared part boundaries), keeping first occurrences in order
-    key = np.round(pts / (spacing * 1e-9)).astype(np.int64)
-    idx = np.sort(np.unique(key, axis=0, return_index=True)[1])
-    return SampleSet(pts[idx], spacing)
+    if lattice is None:
+        key = np.round(pts / (spacing * 1e-9)).astype(np.int64)
+        pts = pts[np.sort(np.unique(key, axis=0, return_index=True)[1])]
+    return SampleSet(pts, spacing, lattice)
 
 
 # ---------------------------------------------------------------------------
@@ -302,175 +372,53 @@ def ports_from_quadrature(quad: DirectionQuadrature, polarized: bool = False) ->
 
 
 # ---------------------------------------------------------------------------
-# Shared sample lattices
-
-
-@dataclass(frozen=True, eq=False)
-class _Lattice:
-    """Point sets on one lattice: set i is origins[i] + indices[i] @ steps."""
-
-    steps: np.ndarray  # (q, dim): h times the basis vectors
-    origins: tuple  # (dim,) origin of each set
-    indices: tuple  # (N_i, q) nonnegative integers of each set
-    error: float  # largest coordinate difference between a point and its site
-
-    def runs(self, axis: int) -> tuple[np.ndarray, np.ndarray]:
-        """First sites and one-past-last sites of the first set's maximal runs along an axis.
-
-        A run is a maximal line of consecutive sites n, n + e_axis, ...; the
-        sites of all runs are the set's sites, each once.  Returns two
-        (runs, dim) arrays of points, in the order of the other axes' indices.
-        """
-        index = self.indices[0]
-        others = [index[:, a] for a in range(index.shape[1]) if a != axis]
-        ordered = index[np.lexsort([index[:, axis]] + others[::-1])]
-        step = np.zeros(index.shape[1], dtype=np.int64)
-        step[axis] = 1
-        first = np.flatnonzero(np.r_[True, np.any(np.diff(ordered, axis=0) != step, axis=1)])
-        past = ordered[np.r_[first[1:] - 1, ordered.shape[0] - 1]]
-        past[:, axis] += 1
-        return (self.origins[0] + ordered[first] @ self.steps,
-                self.origins[0] + past @ self.steps)
-
-    def refined(self, points: np.ndarray) -> _Lattice:
-        """This one-set lattice of ``points`` after one refinement step of its steps.
-
-        The least-squares fit over all points leaves a step some ulps off
-        (13 ulps for the 79,563 quarter-arc disc samples), a drift that grows
-        along every run; one step of iterative refinement, the residual's fit
-        by the normal equations (their q x q matrix is exact in integers),
-        brings every site to within a few ulps of its point.
-        """
-        [index] = self.indices
-        normal = np.zeros((index.shape[1], index.shape[1]))
-        residual = np.zeros(self.steps.shape)
-        for rows in _site_chunks(points.shape[0]):
-            m = index[rows] - index[0]
-            normal += m.T @ m
-            residual += m.T @ (points[rows] - points[0] - m @ self.steps)
-        steps = self.steps + np.linalg.solve(normal, residual)
-        origin = points[0] - index[0] @ steps
-        error = max(float(np.abs(points[rows] - origin - index[rows] @ steps).max())
-                    for rows in _site_chunks(points.shape[0]))
-        return _Lattice(steps, (origin,), self.indices, error)
-
-
-def _stacked(arrays: list[np.ndarray]) -> np.ndarray:
-    return arrays[0] if len(arrays) == 1 else np.vstack(arrays)  # one set: no copy
-
-
-def _site_chunks(n: int):
-    return (slice(lo, lo + _SITE_CHUNK) for lo in range(0, n, _SITE_CHUNK))
-
-
-def _lattice_of(*sides: np.ndarray) -> _Lattice | None:
-    """The lattice one or two point sets lie on, or None if that cannot be proved.
-
-    The spacing h is the shortest nearest-neighbour distance and the basis
-    the nearest-neighbour vectors of that length, picked greedily while
-    each is at least h/2 off the span of the earlier ones (two shortest
-    vectors of a lattice are at least 60 degrees apart).  Neighbours are
-    looked up among the first 2**15 points of each set only, one kd-tree
-    per set: sampled regions come in grid order, so those points are a
-    connected piece of the grid, and any basis they propose is checked on
-    every point (a tree over all 1,273,226 samples of a disc held 47 MB).
-    The step vectors are fitted by least squares over all points of all
-    sets (steps taken from single neighbour differences put apply 1.3e-12
-    off the row route at the N_a = 500 spacing), and each point must lie
-    within 1e-9 h of its site; points are mapped to sites in chunks of
-    2**15.  Each set must also span the whole basis: end-fire plates lie on
-    one cubic lattice, but their 3D grid made a pass 7x slower than row
-    blocks at N_a = 100, and crossing segments would need a table as large
-    as H.  A two-set lattice whose offset box outgrows H (parts far apart)
-    is refused too.
-    Sphere pairs keep their 3D grid: on a 2-core Xeon a 300-column apply of
-    two spheres at radius 18 h (24,405 points a side, grid 75^3) took
-    10.8 s against 72.1 s on row blocks, and 2.9 s against 7.2 s at 12 h;
-    only at 8 h (2,109 points, 0.91 s against 0.56 s) was it slower, a size
-    at which the 'auto' method takes the dense spectrum, which reads row
-    blocks on either route.
-    """
-    if min(p.shape[0] for p in sides) < 2:
-        return None
-    heads = [p[:_NEIGHBOUR_POINTS] for p in sides]
-    near = [cKDTree(head).query(head, k=2) for head in heads]
-    h = min(float(dist[:, 1].min()) for dist, _ in near)
-    if h <= 0.0:
-        return None
-    vectors = np.vstack([head[j[:, 1]] - head for head, (_, j) in zip(heads, near)])
-    vectors = vectors[np.linalg.norm(vectors, axis=1) <= h * (1.0 + _GRID_EPS)]
-    basis = np.zeros((0, sides[0].shape[1]))
-    for _ in range(sides[0].shape[1]):
-        q, _ = np.linalg.qr(basis.T)
-        off = np.linalg.norm(vectors - (vectors @ q) @ q.T, axis=1)
-        i = int(np.argmax(off))
-        if off[i] < 0.5 * h:
-            break
-        basis = np.vstack([basis, vectors[i]])
-    to_basis = np.linalg.pinv(basis)
-    index = [np.empty((p.shape[0], basis.shape[0]), dtype=np.int64) for p in sides]
-    for p, n in zip(sides, index):
-        for rows in _site_chunks(p.shape[0]):
-            n[rows] = np.rint((p[rows] - p[0]) @ to_basis)
-    if any(np.linalg.matrix_rank(n) < basis.shape[0] for n in index):
-        return None
-    steps = np.linalg.lstsq(_stacked(index), _stacked([p - p[0] for p in sides]),
-                            rcond=None)[0]
-    error = max(float(np.abs(p[rows] - p[0] - n[rows] @ steps).max())
-                for p, n in zip(sides, index) for rows in _site_chunks(p.shape[0]))
-    if error > _GRID_EPS * h:
-        return None
-    for n in index:
-        n -= n.min(axis=0)
-    if len(sides) == 2 and (np.prod(index[0].max(axis=0) + index[1].max(axis=0) + 1)
-                            > sides[0].shape[0] * sides[1].shape[0]):
-        return None
-    origins = tuple(p[0] - n[0] @ steps for p, n in zip(sides, index))
-    return _Lattice(steps, origins, tuple(index), error)
-
-
-# ---------------------------------------------------------------------------
 # Channel operator
 
 
 class ChannelOperator:
     """Linear map from transmit excitations to received field samples.
 
-    Rows are receiver samples (or far-field ports), columns transmit point
-    sources (three for the dyadic kernel and for polarized ports, one per
-    Cartesian dipole orientation; a point receiver has as many rows per
-    point as a source has columns).  Each kind has one block kernel, chosen
-    here, that ``row_block`` slices and calls.
-    dense and frobenius_norm walk row spans, each at most 512 rows and 2**21
-    entries, through ``ordered_map`` with results taken in span order, so no
-    dense storage is required and results do not depend on the thread count.
+    ``tx`` is the transmit SampleSet and ``receiver`` a SampleSet of point
+    receivers or a list of FarFieldPort.  Rows are receiver samples (or
+    far-field ports), columns transmit point sources (three for the dyadic
+    kernel and for polarized ports, one per Cartesian dipole orientation; a
+    point receiver has as many rows per point as a source has columns).
+    Each kind has one block kernel, chosen here, that ``row_block`` slices
+    and calls.  dense and frobenius_norm walk row spans, each at most 512
+    rows and 2**21 entries, through ``ordered_map`` with results taken in
+    span order, so no dense storage is required and results do not depend
+    on the thread count.
 
     ``route`` says how apply and adjoint_apply run; it is planned on the
     first of the three, so operators that only give row blocks (dense
     spectra) never pay for it.  ``"lattice"``: for the scalar point
-    kernels, when ``_lattice_of`` proves that both point sets lie on one
-    lattice, the kernel is evaluated once, at the offsets some pair
+    kernels, when both sample sets carry a lattice (``SampleSet.lattice``),
+    their steps agree so closely that every site moves less than 1e-9 h
+    under the other set's steps, and the box of offsets holds no more than
+    N_T N_R entries, the kernel is evaluated once, at the offsets some pair
     realises, into a zero-padded table whose FFT is kept; apply scatters
     column chunks onto the grid, multiplies by that transform and gathers
     the receiver points, the adjoint by its conjugate.  A chunk holds at
     most 2**21 grid entries, or one column where a single grid is larger,
     and ``threads`` is the FFT worker count (each 1D transform is computed
     the same way for any count).  ``"rows"``: apply and adjoint_apply walk
-    the row spans like dense.
+    the row spans like dense; meshes, multi-part regions and sample sets
+    built by hand carry no lattice and take it.
     """
 
-    def __init__(self, kind: str, k: float, tx_points: np.ndarray, receiver,
-                 threads: int = 1):
+    def __init__(self, kind: str, k: float, tx: SampleSet, receiver, threads: int = 1):
         if threads < 1:
             raise ValueError(f"threads must be at least 1, got {threads}")
+        if not isinstance(tx, SampleSet):
+            raise TypeError("transmit samples must be a SampleSet")
         self.kind = kind
         self.k = float(k)
-        self.tx_points = np.asarray(tx_points, dtype=float)
+        self.tx = tx
         self.threads = int(threads)
         polarized = False
         if kind in ("farfield2d", "farfield3d"):
             self.ports = list(receiver)
-            self.rx_points = None
+            self.rx = None
             khats, frames = direction_frames([p.direction.angles[0] for p in self.ports])
             sqrtw = np.sqrt([p.weight for p in self.ports])
             polarized = kind == "farfield3d" and any(p.polarization for p in self.ports)
@@ -483,32 +431,31 @@ class ChannelOperator:
             else:
                 self._kernel, self._receiver = _port_block, (khats, sqrtw)
         elif kind in _POINT_KERNELS:
-            self.rx_points = np.asarray(receiver, dtype=float)
+            if not isinstance(receiver, SampleSet):
+                raise TypeError("point receivers must be a SampleSet")
+            self.rx = receiver
             self.ports = None
-            self._kernel, self._receiver = _POINT_KERNELS[kind], (self.rx_points,)
+            self._kernel, self._receiver = _POINT_KERNELS[kind], (receiver.points,)
         else:
             raise ValueError(f"unknown channel kind {kind!r}")
         self.cols_per_source = 3 if kind == "dyadic3d" or polarized else 1
         self._rows_per_receiver = 1 if self.ports is not None else self.cols_per_source
         self.shape = (self._receiver[0].shape[0] * self._rows_per_receiver,
-                      self.tx_points.shape[0] * self.cols_per_source)
+                      tx.count * self.cols_per_source)
 
     @property
     def route(self) -> str:
         """``"lattice"`` or ``"rows"``: how apply and adjoint_apply run."""
         return "rows" if self._lattice_table is None else "lattice"
 
-    @cached_property
+    @property
     def source_lattice(self) -> _Lattice | None:
-        """The refined lattice the transmit points lie on, for far-field ports only.
+        """The transmit samples' lattice for far-field ports; None for point receivers.
 
         ``dense_spectrum`` sums the port-side Gram matrix over its runs in
-        closed form, so the sites must match the points to rounding, not
-        just to 1e-9 h.  None where ``_lattice_of`` proves no lattice, and for
-        point receivers, which plan their lattice from both sets.
+        closed form; point receivers plan their route from both sets.
         """
-        lattice = _lattice_of(self.tx_points) if self.ports is not None else None
-        return None if lattice is None else lattice.refined(self.tx_points)
+        return self.tx.lattice if self.ports is not None else None
 
     @property
     def port_factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
@@ -520,18 +467,29 @@ class ChannelOperator:
     def _lattice_table(self):
         """(transmit sites, receiver sites, table FFT) of the lattice route, or None.
 
-        H[i, j] is the kernel at offset + (rx_index[i] - tx_index[j]) @ steps.
-        Only offsets some pair realises, the nonzero entries of the mask
-        cross-correlation, are evaluated; the rest stay 0, since an offset no
-        pair realises can be singular where the two lattices coincide.
+        H[i, j] is the kernel at offset + (rx_index[i] - tx_index[j]) @ steps,
+        with both indices counted from their set's smallest.  Only offsets some
+        pair realises, the nonzero entries of the mask cross-correlation, are
+        evaluated; the rest stay 0, since an offset no pair realises can be
+        singular where the two lattices coincide.
         """
-        lattice = (_lattice_of(self.tx_points, self.rx_points)
-                   if self.kind in ("scalar2d", "scalar3d") else None)
-        if lattice is None:
+        tx = self.tx.lattice
+        rx = self.rx.lattice if self.rx is not None else None
+        if (self.kind not in ("scalar2d", "scalar3d") or tx is None or rx is None
+                or tx.steps.shape != rx.steps.shape):
             return None
-        tx_index, rx_index = lattice.indices
+        steps = tx.steps
+        h = float(np.linalg.norm(steps, axis=1).min())
+        # no site moves by 1e-9 h or more under the other set's steps
+        largest = max(int(tx.index.max()), int(rx.index.max()))
+        if largest * float(np.abs(rx.steps - steps).sum()) > _GRID_EPS * h:
+            return None
+        tx_lo, rx_lo = tx.index.min(axis=0), rx.index.min(axis=0)
+        tx_index, rx_index = tx.index - tx_lo, rx.index - rx_lo
         rx_extent = rx_index.max(axis=0) + 1
         box = tx_index.max(axis=0) + rx_extent
+        if np.prod(box) > self.tx.count * self.rx.count:
+            return None
         grid = tuple(fft.next_fast_len(int(n)) for n in box)
         tx_at = np.ravel_multi_index(tx_index.T, grid)
         rx_at = np.ravel_multi_index(rx_index.T, grid)
@@ -544,9 +502,8 @@ class ChannelOperator:
         realised = np.flatnonzero(pairs > 0.5)  # offset index wrapped onto the grid
         wrapped = np.array(np.unravel_index(realised, grid)).T
         delta = np.where(wrapped < rx_extent, wrapped, wrapped - grid)
-        offsets = (lattice.origins[1] - lattice.origins[0]) + delta @ lattice.steps
+        offsets = (rx.origin + rx_lo @ steps) - (tx.origin + tx_lo @ steps) + delta @ steps
         # a coincident pair is exactly zero apart, as row_block sees it
-        h = float(np.linalg.norm(lattice.steps, axis=1).min())
         offsets[np.linalg.norm(offsets, axis=1) <= _GRID_EPS * h] = 0.0
         table = np.zeros(grid, dtype=complex)
         table.flat[realised] = self._kernel(offsets, np.zeros((1, offsets.shape[1])), self.k)[:, 0]
@@ -594,7 +551,7 @@ class ChannelOperator:
         per = self._rows_per_receiver
         r_lo, r_hi = lo // per, -(-hi // per)
         rows = (a[r_lo:r_hi] for a in self._receiver)
-        block = self._kernel(*rows, self.tx_points[src_lo:src_hi], self.k)
+        block = self._kernel(*rows, self.tx.points[src_lo:src_hi], self.k)
         return block[lo - per * r_lo: hi - per * r_lo]
 
     def _spans(self) -> list[tuple[int, int]]:
@@ -664,12 +621,12 @@ def assemble_channel(tx: SampleSet, receiver, k: float, kind: str | None = None,
             raise RegionsTooCloseError(
                 "transmit and receive samples closer than the sampling spacing")
         kind = channel_kind(kind, tx.dimension, farfield=False)
-        return ChannelOperator(kind, k, tx.points, receiver.points, threads)
+        return ChannelOperator(kind, k, tx, receiver, threads)
     ports = list(receiver)
     if not ports:
         raise ValueError("receiver needs at least one far-field port")
-    return ChannelOperator(channel_kind(kind, tx.dimension, farfield=True), k, tx.points,
-                           ports, threads)
+    return ChannelOperator(channel_kind(kind, tx.dimension, farfield=True), k, tx, ports,
+                           threads)
 
 
 def channel_kind(kind: str | None, dimension: int, farfield: bool) -> str:

@@ -13,11 +13,11 @@ The dense spectrum never holds H.  It takes the eigenvalues, exactly sigma,
 of the Gram matrix of the smaller side, H H^H when N_R <= N_T and H^H H
 otherwise, from one of two sources (``SpectrumResult.route``):
 
-- ``"lattice"``: far-field ports with N_R <= N_T over sources that lie on
-  one lattice.  Along each lattice run of sources the port phases form a
-  geometric series, so H H^H is summed in closed form over the runs' end
-  points (about 1,272 for the 512 x 79,563 quarter arc) instead of over
-  every source.
+- ``"lattice"``: far-field ports with N_R <= N_T over sources that carry
+  the sampler's lattice (``SampleSet.lattice``).  Along each lattice run
+  of sources the port phases form a geometric series, so H H^H is summed
+  in closed form over the runs' end points (about 1,272 for the 512 x
+  79,563 quarter arc) instead of over every source.
 - ``"rows"``: every other case.  H streams in blocks of a fixed size and
   the Gram matrix accumulates over them.
 
@@ -62,7 +62,9 @@ _BLOCK_SPAN = 256
 # (>= 1.1e-2).  One pair below tau sends the whole Gram to the streamed blocks.
 _LATTICE_FLOOR = 1e-13
 # Sources must lie within this many units of roundoff of the largest
-# coordinate from their refined sites (bundled and test grids: at most 3.4).
+# coordinate from their lattice sites: sites equal the points of discs,
+# spheres, 2D polygons and axis-aligned plates; for the test segments and
+# tilted plates they lie at most 3.8 units off.
 _SITE_ROUNDING = 16
 _UNIT_ROUNDOFF = np.finfo(float).eps / 2
 
@@ -158,7 +160,7 @@ def _blocks(h):
     """
     n_rows, n_cols = h.shape
     if isinstance(h, ChannelOperator):
-        take, n_src, width = h.row_block, h.tx_points.shape[0], h.cols_per_source
+        take, n_src, width = h.row_block, h.tx.count, h.cols_per_source
     else:
         take, n_src, width = (lambda lo, hi, s_lo, s_hi: h[lo:hi, s_lo:s_hi]), n_cols, 1
     if n_rows <= n_cols:
@@ -183,24 +185,23 @@ def _lattice_gram(h: ChannelOperator) -> np.ndarray | None:
     accumulated by zherk over chunks of end points, about 4 (N_T / pi)^(1/2)
     of them per axis for a disc.  Each entry takes the axis with the largest
     |1 - rho|; pairs of identical directions, the diagonal among them, are
-    N_T.  None (the caller streams) where the sources are not proved to
-    lie within 16 u max|r| of the refined sites of one lattice
-    (``ChannelOperator.source_lattice``), or where a pair of distinct
-    directions has |1 - rho| < 2 u R / (1e-13 N_T) on its best axis
-    (aliasing above lambda/2, or directions mirrored across a planar source
-    lattice).
+    N_T.  None (the caller streams) where the sources carry no lattice
+    (``ChannelOperator.source_lattice``) or lie more than 16 u max|r| from
+    its sites, or where a pair of distinct directions has
+    |1 - rho| < 2 u R / (1e-13 N_T) on its best axis (aliasing above
+    lambda/2, or directions mirrored across a planar source lattice).
 
     The result array is the only m x m one: N_0 accumulates in its upper
     triangle, N_1 (and then each further axis in turn) in its lower one,
     and row blocks of at most 2**15 entries fold them into the upper
     triangle, which is all the eigensolver reads.
     """
-    lattice = h.source_lattice
-    if lattice is None or (lattice.error > _SITE_ROUNDING * _UNIT_ROUNDOFF
-                           * float(np.abs(h.tx_points).max())):
+    lattice, sources = h.source_lattice, h.tx.points
+    if lattice is None or (lattice.error(sources) > _SITE_ROUNDING * _UNIT_ROUNDOFF
+                           * float(np.abs(sources).max())):
         return None
     khat, sqrtw, pol = h.port_factors
-    m, n_src = khat.shape[0], h.tx_points.shape[0]
+    m, n_src = khat.shape[0], h.tx.count
     runs = [lattice.runs(a) for a in range(lattice.steps.shape[0])]
     tau = np.array([2.0 * _UNIT_ROUNDOFF * lo.shape[0] / (_LATTICE_FLOOR * n_src)
                     for lo, _ in runs])

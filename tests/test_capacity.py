@@ -102,6 +102,32 @@ def test_trace_identity_frobenius_case():
     assert mismatch < 1e-12
 
 
+def test_constraint_checked_and_factored_once_per_call(monkeypatch):
+    rng = np.random.default_rng(7)
+    f, lam2, r_x = random_f(rng, 5, 4), rng.uniform(0.5, 2.0, 5), random_spd(rng, 4)
+    calls = {"radiation_modes": lambda r: radiation_modes(f, r),
+             "trace_identity": lambda r: trace_identity(f, lam2, r),
+             "max_effective_area": lambda r: max_effective_area(f[0], r, 0.3)}
+    for name, call in calls.items():
+        for bad, message in ((0.0, "positive"), (np.ones((4, 3)), "4 x 4|square"),
+                             (rng.standard_normal((4, 4)), "Hermitian"),
+                             (np.diag([1.0, 1.0, 1.0, -0.5]), "positive definite")):
+            with pytest.raises(NotSPDError, match=message):
+                call(bad)
+    factored = []
+    cholesky = np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky", lambda a: factored.append(a) or cholesky(a))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("solved by LU instead of the Cholesky factor")
+
+    monkeypatch.setattr(np.linalg, "solve", refuse)
+    for name, call in calls.items():
+        factored.clear()
+        call(r_x)
+        assert len(factored) == 1, name
+
+
 def test_max_effective_area_single_row():
     row = np.array([1.0 + 2.0j, -0.5j])
     lam = 0.25

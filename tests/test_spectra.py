@@ -125,7 +125,7 @@ def _gram_case(name):
     if name == "jittered-sources":  # 96 x 1961 within 1e-11 h of the lattice, not to rounding
         disc = sample_region(Region((Disc([0.0, 0.0], 0.5),), "T"), 0.02)
         jitter = np.random.default_rng(5).uniform(-2e-13, 2e-13, disc.points.shape)
-        return assemble_channel(SampleSet(disc.points + jitter, disc.spacing),
+        return assemble_channel(SampleSet(disc.points + jitter, disc.spacing, disc.lattice),
                                 ports_from_quadrature(circle_quadrature(96)), k2d)
     if name == "tall-farfield":  # 96 x 32, N_R > N_T
         disc = sample_region(Region((Disc([0.0, 0.0], 0.07),), "T"), 0.02)
@@ -219,7 +219,7 @@ def test_port_gram_pairs_of_one_direction_are_exact():
         h = _gram_case(name)
         gram = spectra._lattice_gram(h)
         _, sqrtw, _ = h.port_factors
-        n_src = h.tx_points.shape[0]
+        n_src = h.tx.count
         assert np.allclose(np.diag(gram), sqrtw**2 * n_src, rtol=1e-15, atol=0)
         if name == "polarized":
             pairs = gram[np.arange(0, h.n_rows, 2), np.arange(1, h.n_rows, 2)]
