@@ -23,9 +23,10 @@ ports, the dyadic kernel, end-fire plates, meshes, multi-part regions,
 sample sets built by hand) takes the row route, which evaluates the kernel
 over bounded row spans through one ordered map.  Both routes give results
 independent of the worker thread count, and dense materialization never
-has to happen.  The sources of far-field ports keep their lattice
-(``ChannelOperator.source_lattice``), so that the dense spectrum can sum
-the port Gram matrix over lattice runs in closed form.
+has to happen.  For far-field ports over lattice sources the operator
+also sums its port Gram matrix H H^H over the lattice runs in closed form
+(``ChannelOperator.port_gram``), which the dense spectrum takes in place of
+streamed blocks.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from functools import cached_property
 
 import numpy as np
 from scipy import fft
+from scipy.linalg.blas import zherk
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 from scipy.special import hankel2
@@ -84,7 +86,19 @@ _BLOCK_ROWS = 512
 _BLOCK_ENTRIES = 2**21  # a row span's block holds at most this many entries
 
 _GRID_EPS = 1e-9
-_SITE_CHUNK = 2**15  # points mapped to lattice sites at a time
+
+# Run ends per chunk of the closed-form port Gram, the dense spectrum's block
+# width: a different chunk changes the accumulation order, and with it the bits.
+_RUN_CHUNK = 256
+# A pair of distinct port directions takes the closed-form port Gram while its
+# rounding bound 2 u R / |1 - rho| on a unit-weight entry (u the unit roundoff,
+# R the runs along the pair's best axis) stays below this fraction of the entry
+# scale N_T, the floor below which values are noise: |1 - rho| >= tau =
+# 2 u R / (1e-13 N_T).  tau is 8.9e-6 on the 512 x 79,563 quarter arc, whose
+# distinct ports have |1 - rho| >= 2.7e-3, and 3.5e-5 on the full circle
+# (>= 1.1e-2).  One pair below tau sends the whole Gram to the streamed blocks.
+_LATTICE_FLOOR = 1e-13
+_UNIT_ROUNDOFF = np.finfo(float).eps / 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,7 +107,7 @@ class _Lattice:
 
     origin: np.ndarray  # (dim,)
     steps: np.ndarray  # (q, dim): the spacing h times the basis vectors
-    index: np.ndarray  # (N, q) nonnegative integers, one row per point
+    index: np.ndarray  # (N, q) nonnegative int32, one row per point
 
     def runs(self, axis: int) -> tuple[np.ndarray, np.ndarray]:
         """First sites and one-past-last sites of the maximal runs along an axis.
@@ -112,27 +126,21 @@ class _Lattice:
         past[:, axis] += 1
         return self.origin + ordered[first] @ self.steps, self.origin + past @ self.steps
 
-    def error(self, points: np.ndarray) -> float:
-        """Largest coordinate difference between a point and its site."""
-        error = 0.0
-        for lo in range(0, points.shape[0], _SITE_CHUNK):
-            sites = self.origin + self.index[lo:lo + _SITE_CHUNK] @ self.steps
-            error = max(error, float(np.abs(points[lo:lo + _SITE_CHUNK] - sites).max()))
-        return error
-
 
 @dataclass(frozen=True, eq=False)
 class SampleSet:
     """Uniformly spaced point samples of a region.
 
     ``lattice`` is the grid the sampler laid over a region of one lattice
-    part (segment, disc, polygon, sphere or plate); it is None for meshes,
-    multi-part regions and sets built by hand, whose channels take row blocks.
+    part (segment, disc, polygon, sphere or plate).  Only ``sample_region``
+    sets it: it is not an argument, so meshes, multi-part regions and sets
+    built by hand (``dataclasses.replace`` included) carry None, and their
+    channels take row blocks.
     """
 
     points: np.ndarray  # (N, dim)
     spacing: float
-    lattice: _Lattice | None = field(default=None, repr=False)
+    lattice: _Lattice | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         p = np.asarray(self.points, dtype=float)
@@ -140,8 +148,6 @@ class SampleSet:
             raise ValueError("points must have shape (N, 2) or (N, 3)")
         if self.spacing <= 0:
             raise ValueError("spacing must be positive")
-        if self.lattice is not None and self.lattice.index.shape[0] != p.shape[0]:
-            raise ValueError("lattice needs one index row per point")
         object.__setattr__(self, "points", p)
 
     @property
@@ -167,7 +173,7 @@ def _sites(lo: np.ndarray, step: float, inside: np.ndarray) -> tuple[np.ndarray,
 
     The points equal the grid coordinates of ``_grid_axes`` bit for bit.
     """
-    index = np.column_stack(np.nonzero(inside))
+    index = np.column_stack([axis.astype(np.int32) for axis in np.nonzero(inside)])
     return index, lo + step * index
 
 
@@ -189,7 +195,7 @@ def _sample_shape(shape, step: float) -> tuple[np.ndarray, _Lattice | None]:
     if isinstance(shape, Segment):
         e = shape.end - shape.start
         length = float(np.linalg.norm(e))
-        index = np.arange(_grid_count(0.0, length, step))
+        index = np.arange(_grid_count(0.0, length, step), dtype=np.int32)
         t = step * index / length
         return (shape.start[None, :] + t[:, None] * e[None, :],
                 _Lattice(shape.start, (step / length) * e[None, :], index[:, None]))
@@ -240,7 +246,9 @@ def sample_region(region: Region, spacing: float) -> SampleSet:
     if lattice is None:
         key = np.round(pts / (spacing * 1e-9)).astype(np.int64)
         pts = pts[np.sort(np.unique(key, axis=0, return_index=True)[1])]
-    return SampleSet(pts, spacing, lattice)
+    samples = SampleSet(pts, spacing)
+    object.__setattr__(samples, "lattice", lattice)
+    return samples
 
 
 # ---------------------------------------------------------------------------
@@ -283,14 +291,25 @@ def _dyadic_block(rx: np.ndarray, tx: np.ndarray, k: float) -> np.ndarray:
     return out.transpose(0, 2, 1, 3).reshape(3 * m, 3 * n)
 
 
+def _phases(khat: np.ndarray, points: np.ndarray, k: float) -> np.ndarray:
+    """exp(+j k khat . r), one row per direction and one column per point.
+
+    Holds one real and one complex array of that shape at a time.
+    """
+    phase = khat @ points.T
+    phase *= k
+    e = phase * 1j
+    return np.exp(e, out=e)
+
+
 def _port_block(khat: np.ndarray, sqrtw: np.ndarray, tx: np.ndarray, k: float) -> np.ndarray:
-    return sqrtw[:, None] * np.exp(1j * k * (khat @ tx.T))
+    return sqrtw[:, None] * _phases(khat, tx, k)
 
 
 def _polarized_port_block(khat: np.ndarray, sqrtw: np.ndarray, pol: np.ndarray,
                           tx: np.ndarray, k: float) -> np.ndarray:
     # columns ordered (source, dipole axis): e_p[beta] exp(j k khat.r_n)
-    phase = np.exp(1j * k * (khat @ tx.T))
+    phase = _phases(khat, tx, k)
     rows = (pol[:, None, :] * phase[:, :, None]).reshape(khat.shape[0], -1)
     return sqrtw[:, None] * rows
 
@@ -448,20 +467,80 @@ class ChannelOperator:
         """``"lattice"`` or ``"rows"``: how apply and adjoint_apply run."""
         return "rows" if self._lattice_table is None else "lattice"
 
-    @property
-    def source_lattice(self) -> _Lattice | None:
-        """The transmit samples' lattice for far-field ports; None for point receivers.
+    def port_gram(self) -> np.ndarray | None:
+        """conj(H H^H) of far-field ports over lattice sources in closed form, or None.
 
-        ``dense_spectrum`` sums the port-side Gram matrix over its runs in
-        closed form; point receivers plan their route from both sets.
+        With p_m the port's polarization (1 for scalar ports), entry (m, n) of
+        H H^H is sqrt(w_m w_n) (p_m . p_n) S_mn, S_mn = sum_j exp(j k d . r_j)
+        and d = khat_m - khat_n.  Along a run of sites r, r + s_a, ... of the
+        step s_a the terms form a geometric series of ratio rho = exp(j k d . s_a),
+        so with E_m(r) = exp(j k khat_m . r) over first sites (lo) and
+        one-past-last sites (hi) of the runs along s_a,
+
+            S = N_a / (1 - rho),   N_a = E_lo E_lo^H - E_hi E_hi^H,
+
+        accumulated by zherk over chunks of 256 end points, about
+        4 (N_T / pi)^(1/2) of them per axis for a disc.  Each entry takes the
+        axis with the largest |1 - rho|; pairs of identical directions, the
+        diagonal among them, are N_T.  None (the caller streams) for point
+        receivers, for sources without a lattice (``SampleSet.lattice``), and
+        where a pair of distinct directions has |1 - rho| < 2 u R / (1e-13 N_T)
+        on its best axis (aliasing above lambda/2, or directions mirrored
+        across a planar source lattice).
+
+        The result array is the only m x m one: N_0 accumulates in its upper
+        triangle, N_1 (and then each further axis in turn) in its lower one,
+        and row blocks of at most 2**15 entries fold them into the upper
+        triangle, which is all the eigensolver reads.
         """
-        return self.tx.lattice if self.ports is not None else None
-
-    @property
-    def port_factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-        """(khat, sqrt(weight), polarization vector or None) of the far-field port rows."""
-        khats, sqrtw, *pols = self._receiver
-        return khats, sqrtw, (pols[0] if pols else None)
+        lattice = self.tx.lattice
+        if self.ports is None or lattice is None:
+            return None
+        khat, sqrtw, *pols = self._receiver
+        m, n_src = khat.shape[0], self.tx.count
+        runs = [lattice.runs(a) for a in range(lattice.steps.shape[0])]
+        tau = np.array([2.0 * _UNIT_ROUNDOFF * lo.shape[0] / (_LATTICE_FLOOR * n_src)
+                        for lo, _ in runs])
+        rows = max(1, 2**15 // m)
+        gram = np.zeros((m, m), dtype=complex, order="F")
+        for a, ends in enumerate(runs):
+            if a > 1:  # the lower triangle takes the next axis
+                for j in range(m - 1):
+                    gram[j + 1:, j] = 0.0
+            for sites, sign in zip(ends, (1.0, -1.0)):
+                for lo in range(0, sites.shape[0], _RUN_CHUNK):
+                    e = _phases(khat, sites[lo:lo + _RUN_CHUNK], self.k)
+                    # e.T is a Fortran view; trans=2 gives conj(E E^H), as the blocks do
+                    gram = zherk(sign, e.T, beta=1.0, c=gram, trans=2, lower=int(a > 0),
+                                 overwrite_c=1)
+                    del e
+            if a == 0 and len(runs) > 1:
+                continue  # fold once the lower triangle holds axis 1
+            last = a == len(runs) - 1
+            for r0 in range(0, m, rows):
+                r1 = min(r0 + rows, m)
+                diff = khat[r0:r1, None, :] - khat[None, r0:, :]
+                same = ~diff.any(axis=2)
+                x = self.k * (diff @ lattice.steps.T)  # rho = exp(j x) on each axis
+                del diff
+                best = np.argmax(np.abs(np.sin(0.5 * x)), axis=2)  # |1 - rho| = 2 |sin(x / 2)|
+                x = np.take_along_axis(x, best[..., None], axis=2)[..., 0]
+                half = np.sin(0.5 * x)
+                if a <= 1 and np.any((2.0 * np.abs(half) < tau[best]) & ~same):
+                    return None
+                den = 2.0 * half * half + 1j * np.sin(x)  # conj(1 - rho)
+                upper = gram[r0:r1, r0:]  # a view: folded in place
+                lower = gram[r0:, r0:r1].T.conj() if a > 0 else None  # read before any write
+                if a <= 1:
+                    np.divide(upper, den, out=upper, where=(best == 0) & ~same)
+                if a > 0:
+                    np.divide(lower, den, out=upper, where=(best == a) & ~same)
+                if last:
+                    upper[same] = n_src
+                    upper *= sqrtw[r0:r1, None] * sqrtw[None, r0:]
+                    if pols:
+                        upper *= pols[0][r0:r1] @ pols[0][r0:].T
+        return gram
 
     @cached_property
     def _lattice_table(self):
@@ -593,8 +672,12 @@ class ChannelOperator:
         if self.n_rows * self.n_cols > cap:
             raise TooLargeForDenseError(
                 f"{self.n_rows} x {self.n_cols} exceeds the dense cap of {cap} entries")
-        return np.vstack(list(ordered_map(lambda span: self.row_block(*span),
-                                          self._spans(), self.threads)))
+        out = np.empty(self.shape, dtype=complex)
+        spans = self._spans()
+        for (lo, hi), block in zip(spans, ordered_map(lambda span: self.row_block(*span),
+                                                      spans, self.threads)):
+            out[lo:hi] = block
+        return out
 
     def frobenius_norm(self) -> float:
         return math.sqrt(math.fsum(ordered_map(

@@ -21,6 +21,7 @@ import yaml
 
 from .channel import (
     DENSE_CAP_ENTRIES,
+    ChannelOperator,
     assemble_channel,
     channel_kind,
     ports_from_quadrature,
@@ -311,8 +312,12 @@ def compute_shadow(config: ScenarioConfig):
                                n_theta=config.n_theta, n_phi=config.n_phi)
 
 
-def build_channel(config: ScenarioConfig, wavelength: float, threads: int = 1):
-    """Sample the regions and assemble the channel operator."""
+def build_channel(config: ScenarioConfig, wavelength: float, threads: int = 1) -> ChannelOperator:
+    """Sample the regions and assemble the channel operator.
+
+    The operator carries the transmit samples (``tx``) and the receiver
+    samples (``rx``) or far-field ports (``ports``).
+    """
     spacing = wavelength / config.delta_factor
     tx = sample_region(config.transmitter, spacing)
     k = TWO_PI / wavelength
@@ -326,7 +331,7 @@ def build_channel(config: ScenarioConfig, wavelength: float, threads: int = 1):
         receiver = ports_from_quadrature(quad, polarized=ff.polarized)
     else:
         receiver = sample_region(config.receiver, spacing)
-    return assemble_channel(tx, receiver, k, kind=config.kernel, threads=threads), tx, receiver
+    return assemble_channel(tx, receiver, k, kind=config.kernel, threads=threads)
 
 
 def compute_spectrum(config: ScenarioConfig, op, n_a: float):
@@ -384,7 +389,7 @@ def run_scenario(config: ScenarioConfig, threads: int = 1):
     if summary["wavelength"] is None:
         return summary, msr, None
     t1 = time.perf_counter()
-    op, tx, receiver = build_channel(config, summary["wavelength"], threads=threads)
+    op = build_channel(config, summary["wavelength"], threads=threads)
     timings["assemble_s"] = time.perf_counter() - t1
     t2 = time.perf_counter()
     spec = compute_spectrum(config, op, summary["n_a"])
@@ -425,7 +430,7 @@ def validate(config: ScenarioConfig) -> dict:
             return report
         estimates["wavelength"] = coarse["wavelength"]
         stage = "channel"
-        op = build_channel(config, coarse["wavelength"])[0]
+        op = build_channel(config, coarse["wavelength"])
     except (ShadowDofError, ValueError) as exc:  # the run stops at this stage too
         violations.append(f"{stage} stage: {type(exc).__name__}: {exc}")
         return report

@@ -14,10 +14,10 @@ of the Gram matrix of the smaller side, H H^H when N_R <= N_T and H^H H
 otherwise, from one of two sources (``SpectrumResult.route``):
 
 - ``"lattice"``: far-field ports with N_R <= N_T over sources that carry
-  the sampler's lattice (``SampleSet.lattice``).  Along each lattice run
-  of sources the port phases form a geometric series, so H H^H is summed
-  in closed form over the runs' end points (about 1,272 for the 512 x
-  79,563 quarter arc) instead of over every source.
+  the sampler's lattice.  Along each lattice run of sources the port
+  phases form a geometric series, so the operator sums H H^H in closed
+  form over the runs' end points (``ChannelOperator.port_gram``; about
+  1,272 for the 512 x 79,563 quarter arc) instead of over every source.
 - ``"rows"``: every other case.  H streams in blocks of a fixed size and
   the Gram matrix accumulates over them.
 
@@ -45,28 +45,12 @@ from scipy.linalg.blas import zherk
 from .channel import DENSE_CAP_ENTRIES, ChannelOperator
 from .errors import AllZeroSpectrumError, TooLargeForDenseError
 
-# Extent of a dense-route block along the longer side, and the end points per
-# chunk of the lattice Gram.  On a 2-core Xeon with OpenBLAS a streamed
-# 512 x 77,956 far-field spectrum (two discs whose grids do not line up) took
-# 5.2-5.4 s with 256 columns per block on one BLAS thread, 5.7 s with 64 and
-# 5.8 s with 1024; on two threads 3.8-4.0 s with 256, 3.8-4.2 s with 64 and
-# 6.9-7.1 s with 1024.
+# Extent of a dense-route block along the longer side.  On a 2-core Xeon with
+# OpenBLAS a streamed 512 x 77,956 far-field spectrum (two discs whose grids do
+# not line up) took 5.2-5.4 s with 256 columns per block on one BLAS thread,
+# 5.7 s with 64 and 5.8 s with 1024; on two threads 3.8-4.0 s with 256,
+# 3.8-4.2 s with 64 and 6.9-7.1 s with 1024.
 _BLOCK_SPAN = 256
-
-# A pair of distinct port directions takes the lattice Gram while its rounding
-# bound 2 u R / |1 - rho| on a unit-weight entry (u the unit roundoff, R the
-# runs along the pair's best axis) stays below this fraction of the entry
-# scale N_T, the floor below which values are noise: |1 - rho| >= tau =
-# 2 u R / (1e-13 N_T).  tau is 8.9e-6 on the 512 x 79,563 quarter arc, whose
-# distinct ports have |1 - rho| >= 2.7e-3, and 3.5e-5 on the full circle
-# (>= 1.1e-2).  One pair below tau sends the whole Gram to the streamed blocks.
-_LATTICE_FLOOR = 1e-13
-# Sources must lie within this many units of roundoff of the largest
-# coordinate from their lattice sites: sites equal the points of discs,
-# spheres, 2D polygons and axis-aligned plates; for the test segments and
-# tilted plates they lie at most 3.8 units off.
-_SITE_ROUNDING = 16
-_UNIT_ROUNDOFF = np.finfo(float).eps / 2
 
 __all__ = [
     "SpectrumResult",
@@ -170,96 +154,15 @@ def _blocks(h):
             for lo in range(0, n_rows, _BLOCK_SPAN))
 
 
-def _lattice_gram(h: ChannelOperator) -> np.ndarray | None:
-    """conj(H H^H) of far-field ports over lattice sources in closed form, or None.
-
-    With p_m the port's polarization (1 for scalar ports), entry (m, n) of
-    H H^H is sqrt(w_m w_n) (p_m . p_n) S_mn, S_mn = sum_j exp(j k d . r_j)
-    and d = khat_m - khat_n.  Along a run of sites r, r + s_a, ... of the
-    step s_a the terms form a geometric series of ratio rho = exp(j k d . s_a),
-    so with E_m(r) = exp(j k khat_m . r) over first sites (lo) and
-    one-past-last sites (hi) of the runs along s_a,
-
-        S = N_a / (1 - rho),   N_a = E_lo E_lo^H - E_hi E_hi^H,
-
-    accumulated by zherk over chunks of end points, about 4 (N_T / pi)^(1/2)
-    of them per axis for a disc.  Each entry takes the axis with the largest
-    |1 - rho|; pairs of identical directions, the diagonal among them, are
-    N_T.  None (the caller streams) where the sources carry no lattice
-    (``ChannelOperator.source_lattice``) or lie more than 16 u max|r| from
-    its sites, or where a pair of distinct directions has
-    |1 - rho| < 2 u R / (1e-13 N_T) on its best axis (aliasing above
-    lambda/2, or directions mirrored across a planar source lattice).
-
-    The result array is the only m x m one: N_0 accumulates in its upper
-    triangle, N_1 (and then each further axis in turn) in its lower one,
-    and row blocks of at most 2**15 entries fold them into the upper
-    triangle, which is all the eigensolver reads.
-    """
-    lattice, sources = h.source_lattice, h.tx.points
-    if lattice is None or (lattice.error(sources) > _SITE_ROUNDING * _UNIT_ROUNDOFF
-                           * float(np.abs(sources).max())):
-        return None
-    khat, sqrtw, pol = h.port_factors
-    m, n_src = khat.shape[0], h.tx.count
-    runs = [lattice.runs(a) for a in range(lattice.steps.shape[0])]
-    tau = np.array([2.0 * _UNIT_ROUNDOFF * lo.shape[0] / (_LATTICE_FLOOR * n_src)
-                    for lo, _ in runs])
-    rows = max(1, 2**15 // m)
-    gram = np.zeros((m, m), dtype=complex, order="F")
-    for a, ends in enumerate(runs):
-        if a > 1:  # the lower triangle takes the next axis
-            for j in range(m - 1):
-                gram[j + 1:, j] = 0.0
-        for sites, sign in zip(ends, (1.0, -1.0)):
-            for lo in range(0, sites.shape[0], _BLOCK_SPAN):
-                phase = khat @ sites[lo:lo + _BLOCK_SPAN].T
-                phase *= h.k
-                e = phase * 1j
-                del phase
-                np.exp(e, out=e)
-                # e.T is a Fortran view; trans=2 gives conj(E E^H), as the blocks do
-                gram = zherk(sign, e.T, beta=1.0, c=gram, trans=2, lower=int(a > 0),
-                             overwrite_c=1)
-                del e
-        if a == 0 and len(runs) > 1:
-            continue  # fold once the lower triangle holds axis 1
-        last = a == len(runs) - 1
-        for r0 in range(0, m, rows):
-            r1 = min(r0 + rows, m)
-            diff = khat[r0:r1, None, :] - khat[None, r0:, :]
-            same = ~diff.any(axis=2)
-            x = h.k * (diff @ lattice.steps.T)  # rho = exp(j x) on each axis
-            del diff
-            best = np.argmax(np.abs(np.sin(0.5 * x)), axis=2)  # |1 - rho| = 2 |sin(x / 2)|
-            x = np.take_along_axis(x, best[..., None], axis=2)[..., 0]
-            half = np.sin(0.5 * x)
-            if a <= 1 and np.any((2.0 * np.abs(half) < tau[best]) & ~same):
-                return None
-            den = 2.0 * half * half + 1j * np.sin(x)  # conj(1 - rho)
-            upper = gram[r0:r1, r0:]  # a view: folded in place
-            lower = gram[r0:, r0:r1].T.conj() if a > 0 else None  # read before any write
-            if a <= 1:
-                np.divide(upper, den, out=upper, where=(best == 0) & ~same)
-            if a > 0:
-                np.divide(lower, den, out=upper, where=(best == a) & ~same)
-            if last:
-                upper[same] = n_src
-                upper *= sqrtw[r0:r1, None] * sqrtw[None, r0:]
-                if pol is not None:
-                    upper *= pol[r0:r1] @ pol[r0:].T
-    return gram
-
-
 def dense_spectrum(h, cap: int = DENSE_CAP_ENTRIES) -> SpectrumResult:
     """Exact spectrum of a channel operator or matrix from the smaller side's Gram matrix.
 
     With m = min(N_R, N_T), the Gram matrix G is H H^H (N_R <= N_T) or
     H^H H (otherwise), and the spectrum its eigenvalues.  Far-field ports
     with N_R <= N_T over sources on one lattice get G in closed form, summed
-    along lattice runs (``_lattice_gram``, route ``"lattice"``).  Otherwise
-    G = sum B B^H accumulates over column blocks B, or sum B^H B over row
-    blocks, in a fixed block order (route ``"rows"``).  H is never
+    along lattice runs (``ChannelOperator.port_gram``, route ``"lattice"``).
+    Otherwise G = sum B B^H accumulates over column blocks B, or sum B^H B
+    over row blocks, in a fixed block order (route ``"rows"``).  H is never
     materialized: the route holds m**2 entries plus one block of m x 256
     and refuses above ``cap`` of them (``dense_entries``).  Values below
     about 1e-13 sigma_1 are rounding noise; negative ones are reported as 0.
@@ -273,7 +176,7 @@ def dense_spectrum(h, cap: int = DENSE_CAP_ENTRIES) -> SpectrumResult:
             f"{n_rows} x {n_cols} needs {entries} Gram and block entries, "
             f"above the dense cap of {cap}")
     wide = n_rows <= n_cols
-    gram = _lattice_gram(h) if wide and isinstance(h, ChannelOperator) else None
+    gram = h.port_gram() if wide and isinstance(h, ChannelOperator) else None
     route = "rows" if gram is None else "lattice"
     if gram is None:
         m = min(n_rows, n_cols)

@@ -111,7 +111,7 @@ def test_validate_counts_are_the_operators(path):
     report = validate(config)
     assert report["violations"] == []
     est = report["estimates"]
-    op, _, _ = build_channel(config, est["wavelength"])
+    op = build_channel(config, est["wavelength"])
     assert (est["n_r"], est["n_t"]) == op.shape
     assert est["dense_bytes"] == 16 * dense_entries(*op.shape)
 
@@ -163,14 +163,14 @@ def test_validate_estimates_operator_shape(receiver, kernel):
             "receiver": receiver, "quadrature": {"n_theta": 24, "n_phi": 48}}
     config = load_scenario(data)
     est = validate(config)["estimates"]
-    op, _, _ = build_channel(config, 0.5)
+    op = build_channel(config, 0.5)
     assert (est["n_r"], est["n_t"]) == op.shape
 
 
 def test_auto_picks_dense_by_gram_entries(monkeypatch):
     monkeypatch.setattr(spectra, "_BLOCK_SPAN", 7)
     config = dataclasses.replace(load_scenario(DISC_FARFIELD_YAML), method="auto")
-    op, _, _ = build_channel(config, 0.4)
+    op = build_channel(config, 0.4)
     entries = dense_entries(*op.shape)
     assert entries < op.n_rows * op.n_cols
     monkeypatch.setattr(scenario, "DENSE_CAP_ENTRIES", entries)

@@ -1,11 +1,12 @@
 """Spectrum extraction: the dense Gram route, the randomized sketch, N_e and N_k."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from shadowdof import spectra
+from shadowdof import channel, spectra
 from shadowdof.channel import (
     ChannelOperator,
     SampleSet,
@@ -122,11 +123,6 @@ def _gram_case(name):
         ball = sample_region(Region((Sphere([0, 0, 0], 0.3),), "T"), 0.04)
         ports = ports_from_quadrature(sphere_quadrature(6, 12), polarized=True)
         return assemble_channel(ball, ports, 2 * math.pi / 0.2)
-    if name == "jittered-sources":  # 96 x 1961 within 1e-11 h of the lattice, not to rounding
-        disc = sample_region(Region((Disc([0.0, 0.0], 0.5),), "T"), 0.02)
-        jitter = np.random.default_rng(5).uniform(-2e-13, 2e-13, disc.points.shape)
-        return assemble_channel(SampleSet(disc.points + jitter, disc.spacing, disc.lattice),
-                                ports_from_quadrature(circle_quadrature(96)), k2d)
     if name == "tall-farfield":  # 96 x 32, N_R > N_T
         disc = sample_region(Region((Disc([0.0, 0.0], 0.07),), "T"), 0.02)
         return assemble_channel(disc, ports_from_quadrature(circle_quadrature(96)), k2d)
@@ -165,8 +161,7 @@ def _gram_case(name):
 GRAM_CASES = {"wide-farfield": "lattice", "tall-points": "rows", "square": "rows",
               "dyadic-wide": "rows", "dyadic-tall": "rows", "polarized": "lattice",
               "ndarray": "rows", "tall-farfield": "rows", "offset-grids": "rows",
-              "coarse-sources": "rows", "mirror-plate": "rows", "jittered-sources": "rows",
-              "plate-hemisphere": "lattice"}
+              "coarse-sources": "rows", "mirror-plate": "rows", "plate-hemisphere": "lattice"}
 
 
 @pytest.mark.parametrize("block_span", [256, 7], ids=["default-blocks", "small-blocks"])
@@ -176,6 +171,7 @@ def test_gram_route_matches_svd(name, block_span, monkeypatch):
     matrix = h.dense() if isinstance(h, ChannelOperator) else h
     ref = spectrum_from_sigma(np.linalg.svd(matrix, compute_uv=False) ** 2, "dense")
     monkeypatch.setattr(spectra, "_BLOCK_SPAN", block_span)
+    monkeypatch.setattr(channel, "_RUN_CHUNK", block_span)
     if isinstance(h, ChannelOperator):
         def refuse(*args, **kwargs):
             raise AssertionError("the dense route materialized the operator")
@@ -201,15 +197,27 @@ def test_gram_route_matches_svd(name, block_span, monkeypatch):
 
 
 @pytest.mark.parametrize("name,lattice", [("tall-farfield", True), ("offset-grids", False),
-                                          ("coarse-sources", True), ("mirror-plate", True),
-                                          ("jittered-sources", True)])
+                                          ("coarse-sources", True), ("mirror-plate", True)])
 def test_port_gram_streams_without_a_usable_closed_form(name, lattice):
-    # N_R > N_T, no lattice, a pair of distinct directions with rho = 1 on every
-    # axis, or sources on the lattice only to 1e-11 h
+    # N_R > N_T, no lattice, or a pair of distinct directions with rho = 1 on
+    # every axis
     h = _gram_case(name)
-    assert (h.source_lattice is not None) == lattice
+    assert (h.tx.lattice is not None) == lattice
     if h.n_rows <= h.n_cols:
-        assert spectra._lattice_gram(h) is None
+        assert h.port_gram() is None
+
+
+def test_only_the_sampler_gives_sources_a_lattice():
+    # a lattice cannot be passed in, and a copy of a sampled set drops it, so
+    # sources off the sampler's grid always stream
+    disc = sample_region(Region((Disc([0.0, 0.0], 0.5),), "T"), 0.02)
+    with pytest.raises(TypeError):
+        SampleSet(disc.points, disc.spacing, disc.lattice)
+    copy = dataclasses.replace(disc)
+    assert copy.lattice is None and np.array_equal(copy.points, disc.points)
+    ports = ports_from_quadrature(circle_quadrature(96))
+    assert assemble_channel(disc, ports, 2 * math.pi / 0.1).port_gram() is not None
+    assert assemble_channel(copy, ports, 2 * math.pi / 0.1).port_gram() is None
 
 
 def test_port_gram_pairs_of_one_direction_are_exact():
@@ -217,8 +225,8 @@ def test_port_gram_pairs_of_one_direction_are_exact():
     # give w N_T on the diagonal and their projection p_theta . p_phi = 0 off it
     for name in ("wide-farfield", "polarized"):
         h = _gram_case(name)
-        gram = spectra._lattice_gram(h)
-        _, sqrtw, _ = h.port_factors
+        gram = h.port_gram()
+        sqrtw = np.sqrt([port.weight for port in h.ports])
         n_src = h.tx.count
         assert np.allclose(np.diag(gram), sqrtw**2 * n_src, rtol=1e-15, atol=0)
         if name == "polarized":
@@ -228,6 +236,7 @@ def test_port_gram_pairs_of_one_direction_are_exact():
 
 def test_gram_route_cap_counts_gram_and_block(monkeypatch):
     monkeypatch.setattr(spectra, "_BLOCK_SPAN", 7)
+    monkeypatch.setattr(channel, "_RUN_CHUNK", 7)
     op = _gram_case("wide-farfield")
     n_rows, n_cols = op.shape
     entries = dense_entries(n_rows, n_cols)
