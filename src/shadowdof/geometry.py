@@ -10,6 +10,7 @@ is the package's one thread pool (channel row spans, mesh panel spans).
 from __future__ import annotations
 
 import math
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -714,10 +715,22 @@ def mesh_sphere(center, radius: float, h: float) -> TriangleMesh:
 def ordered_map(work, spans: list, threads: int):
     """work(span) for each span, yielded in span order whatever the thread count.
 
-    The builtin map at one thread (or one span), a thread pool above that.
+    The builtin map at one thread (or one span), a thread pool above that,
+    which holds at most 2 * threads spans submitted and not yet taken, so
+    results never pile up ahead of a slow consumer.
     """
     if threads == 1 or len(spans) == 1:
         yield from map(work, spans)
         return
+    pending = deque()
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        yield from pool.map(work, spans)
+        try:
+            for span in spans:
+                if len(pending) == 2 * threads:
+                    yield pending.popleft().result()
+                pending.append(pool.submit(work, span))
+            while pending:
+                yield pending.popleft().result()
+        finally:  # on an error or an abandoned map, start no further span
+            for future in pending:
+                future.cancel()

@@ -394,6 +394,7 @@ def run_scenario(config: ScenarioConfig, threads: int = 1):
     t2 = time.perf_counter()
     spec = compute_spectrum(config, op, summary["n_a"])
     timings["spectrum_s"] = time.perf_counter() - t2
+    timings.update(spec.timings or {})  # a sketch's passes_s and qr_s, parts of spectrum_s
     summary.update({"n_e": spec.n_effective, "n_k": spec.n_knee, "method": spec.method,
                     "route": spec.route,
                     "n_t": op.n_cols, "n_r": op.n_rows})

@@ -35,11 +35,13 @@ Gram eigensolve, so both spectra share one factorization and that floor.
 
 from __future__ import annotations
 
+import dataclasses
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh
+from scipy.linalg import eigh, qr
 from scipy.linalg.blas import zherk
 
 from .channel import DENSE_CAP_ENTRIES, ChannelOperator
@@ -75,6 +77,8 @@ class SpectrumResult:
     seed: int | None = None
     # "lattice" or "rows": how a dense Gram matrix was built; a sketch's operator route
     route: str | None = None
+    # a sketch's seconds per layer: operator passes (passes_s) and QR (qr_s)
+    timings: dict | None = None
 
     def __post_init__(self):
         s = np.asarray(self.sigma, dtype=float)
@@ -193,6 +197,15 @@ def dense_spectrum(h, cap: int = DENSE_CAP_ENTRIES) -> SpectrumResult:
     return spectrum_from_sigma(np.maximum(values, 0.0)[::-1], "dense", route=route)
 
 
+def _basis(y: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of y's columns, LAPACK's zgeqrf and zungqr in y's memory.
+
+    The same calls as np.linalg.qr, without its copies: on the Fortran-order
+    result of a lattice pass there is none (a C-order y is copied once).
+    """
+    return qr(y, mode="economic", overwrite_a=True, check_finite=False)[0]
+
+
 def randomized_spectrum(h, p: int, seed: int, power_iters: int = 1) -> SpectrumResult:
     """Randomized sketch of the dominant squared singular values.
 
@@ -204,10 +217,22 @@ def randomized_spectrum(h, p: int, seed: int, power_iters: int = 1) -> SpectrumR
     B B^H, taken by ``dense_spectrum`` on X = H^H W (its Gram of the
     P-wide side), so the sketch shares the dense route's 1e-13 sigma_1
     floor; its tail is approximate in any case.
+
+    Each N x P matrix is dropped once the next exists and each basis is
+    taken in place, so the sketch holds about two of them at a time.
+    ``SpectrumResult.timings`` gives the seconds spent in operator passes
+    (``passes_s``) and in the QR factorizations (``qr_s``).
     """
     n_rows, n_cols = (h.shape if isinstance(h, ChannelOperator) else np.asarray(h).shape)
     if not 0 < p <= min(n_rows, n_cols):
         raise ValueError("sketch size P must be in 1..min(N_R, N_T)")
+    timings = {"passes_s": 0.0, "qr_s": 0.0}
+
+    def timed(key, fn, x):
+        t0 = time.perf_counter()
+        out = fn(x)
+        timings[key] += time.perf_counter() - t0
+        return out
 
     def mul(x):
         return h.apply(x) if isinstance(h, ChannelOperator) else h @ x
@@ -216,12 +241,22 @@ def randomized_spectrum(h, p: int, seed: int, power_iters: int = 1) -> SpectrumR
         return h.adjoint_apply(y) if isinstance(h, ChannelOperator) else h.conj().T @ y
 
     rng = np.random.Generator(np.random.Philox(seed))
-    a = (rng.standard_normal((n_cols, p)) + 1j * rng.standard_normal((n_cols, p))) / math.sqrt(2)
-    y = mul(a)
-    w, _ = np.linalg.qr(y)
-    for _ in range(power_iters):
-        y = mul(mul_h(w))
-        w, _ = np.linalg.qr(y)
-    sigma = dense_spectrum(mul_h(w)).sigma
-    return spectrum_from_sigma(sigma, f"randomized(P={p}, power_iters={power_iters})", seed,
-                               h.route if isinstance(h, ChannelOperator) else "rows")
+    # (re + 1j im) / sqrt(2) bit for bit, holding one real draw at a time
+    a = np.empty((n_cols, p), dtype=complex)
+    a.real = rng.standard_normal((n_cols, p))
+    a.imag = rng.standard_normal((n_cols, p))
+    a /= math.sqrt(2)
+    y = timed("passes_s", mul, a)
+    del a
+    for i in range(power_iters + 1):
+        w = timed("qr_s", _basis, y)
+        del y
+        x = timed("passes_s", mul_h, w)  # H^H W: a power step's input, or B^H at the end
+        del w
+        if i < power_iters:
+            y = timed("passes_s", mul, x)
+            del x
+    sigma = dense_spectrum(x).sigma
+    result = spectrum_from_sigma(sigma, f"randomized(P={p}, power_iters={power_iters})", seed,
+                                 h.route if isinstance(h, ChannelOperator) else "rows")
+    return dataclasses.replace(result, timings=timings)

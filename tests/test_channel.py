@@ -406,6 +406,26 @@ def test_lattice_route_matches_rows(name):
     _assert_matches_rows(op)
 
 
+@pytest.mark.parametrize("name", ["parallel-plates", "spheres"])
+def test_lattice_passes_do_not_depend_on_chunk_width(name, monkeypatch):
+    # each column is transformed alone, so one column per chunk, the default
+    # 2**17 grid entries (2 and 14 chunks here) and one chunk give the same bits
+    tx, rx = LATTICE_PAIRS[name]()
+    rng = np.random.default_rng(9)
+    x = rng.standard_normal((tx.count, 120)) + 1j * rng.standard_normal((tx.count, 120))
+    y = rng.standard_normal((rx.count, 120)) + 1j * rng.standard_normal((rx.count, 120))
+    passes = []
+    for entries in (channel._FFT_CHUNK_ENTRIES, 1, 2**21):
+        monkeypatch.setattr(channel, "_FFT_CHUNK_ENTRIES", entries)
+        op = assemble_channel(tx, rx, _K)
+        assert op.route == "lattice"
+        passes.append((op.apply(x), op.adjoint_apply(y)))
+    for hx, hy in passes:
+        assert hx.flags.f_contiguous and hy.flags.f_contiguous  # the QR takes them uncopied
+        assert hx.tobytes() == passes[0][0].tobytes()
+        assert hy.tobytes() == passes[0][1].tobytes()
+
+
 def test_lattice_route_at_published_scale():
     # shifted plates at the spacing of N_a = 500 (141 x 141 points each, offsets
     # up to 140 steps, kR up to about 260): the sampler's own steps keep the

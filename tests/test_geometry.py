@@ -1,6 +1,8 @@
 """Geometry: projections, intersections, and the Monte-Carlo area oracles."""
 
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from shadowdof.geometry import (
     interval_intersection,
     mesh_plate,
     mesh_sphere,
+    ordered_map,
     polygon_area,
     project_shape_2d,
     project_shape_3d,
@@ -303,3 +306,41 @@ def test_mesh_builders_match_loop_reference():
 def test_shoelace_orientation():
     assert polygon_area(UNIT_SQUARE.vertices) == pytest.approx(1.0)
     assert polygon_area(UNIT_SQUARE.vertices[::-1]) == pytest.approx(-1.0)
+
+
+def _slow_consumer_run(threads):
+    """ordered_map's traced peak and its spans started ahead of the consumer.
+
+    Work is instant and the consumer, which fills a 16 MB result as dense()
+    does, takes 1 ms per 64 kB block: every finished block that is not yet
+    taken is held.
+    """
+    spans = list(range(256))
+    started, ahead = [], []
+
+    def work(span):
+        started.append(span)
+        return np.full(2**13, float(span))
+
+    tracemalloc.start()
+    try:
+        out = np.zeros((len(spans), 2**13))
+        for span, block in zip(spans, ordered_map(work, spans, threads)):
+            ahead.append(len(started) - span - 1)
+            time.sleep(1e-3)
+            out[span] = block
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(out[:, 0], spans)  # in span order
+    return peak, max(ahead)
+
+
+def test_ordered_map_bounds_spans_in_flight():
+    base, ahead = _slow_consumer_run(1)
+    assert ahead == 0
+    peak, ahead = _slow_consumer_run(2)
+    # at most 2 * threads spans submitted and not taken: 4 blocks (256 kB) here,
+    # where all 256 submitted at once held up to 16 MB
+    assert ahead <= 4
+    assert peak <= 1.1 * base

@@ -516,6 +516,9 @@ def test_cli_summaries_carry_the_shadow_stage(tmp_path):
         dataclasses.replace(load_scenario(TWO_LINES_YAML), method="randomized"))
     assert sketched["route"] == "lattice"
     assert set(library["timings"]) == {"shadow_s", "assemble_s", "spectrum_s"}
+    layers = sketched["timings"]  # a sketch adds the parts of spectrum_s it can name
+    assert set(layers) == {"shadow_s", "assemble_s", "spectrum_s", "passes_s", "qr_s"}
+    assert 0.0 < layers["passes_s"] + layers["qr_s"] < layers["spectrum_s"]
     for command in ("shadow", "ndof", "spectrum", "capacity"):  # the CLI adds its writing time
         timings = summaries[command]["timings"]
         stages = {"shadow_s"} if command in ("shadow", "ndof") else set(library["timings"])

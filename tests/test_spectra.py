@@ -2,6 +2,8 @@
 
 import dataclasses
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -341,3 +343,32 @@ def test_randomized_ends_in_the_gram_eigensolve(name, monkeypatch):
     assert spec.seed == 9
     assert spec.n_values == p
     assert np.max(np.abs(spec.sigma - ref)) <= 1e-12 * ref[0]
+
+
+def test_sketch_holds_about_two_n_by_p_matrices():
+    # two unit plates at d = 1 on the lattice route, N = 4096 a side and P = 300,
+    # as squares_parallel.yaml: the traced peak, the table build included, measured
+    # 2.24 N P 16 bytes (the test matrix and Y = H A, then each basis with the next
+    # pass's result, plus the FFT chunks); holding A, Y and np.linalg.qr's copies
+    # measured 8.41
+    h = 1.0 / 63
+    sides = []
+    for z in (0.0, 1.0):
+        o = np.array([0.0, 0.0, z])
+        plate = PlanarPolygon([o, o + [1, 0, 0], o + [1, 1, 0], o + [0, 1, 0]], [0, 0, 1.0])
+        sides.append(sample_region(Region((plate,), "P"), h))
+    op = assemble_channel(*sides, 2 * math.pi / (5 * h))
+    n, p = op.n_cols, 300
+    assert op.route == "lattice" and n == op.n_rows == 4096
+    tracemalloc.start()
+    try:
+        t0 = time.perf_counter()
+        spec = randomized_spectrum(op, p, seed=1, power_iters=1)
+        total = time.perf_counter() - t0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * n * p * 16
+    assert set(spec.timings) == {"passes_s", "qr_s"}
+    assert 0.0 < spec.timings["passes_s"] and 0.0 < spec.timings["qr_s"]
+    assert spec.timings["passes_s"] + spec.timings["qr_s"] < total
