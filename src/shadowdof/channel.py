@@ -61,6 +61,7 @@ from .geometry import (
     ordered_map,
     points_in_convex_polygon,
     polygon_area,
+    thread_count,
 )
 from .quadrature import DirectionQuadrature
 from .shadow import Region
@@ -383,10 +384,6 @@ class FarFieldPort:
             if self.polarization not in ("theta", "phi"):
                 raise ValueError("polarization must be 'theta' or 'phi'")
 
-    def pol_vector(self) -> np.ndarray:
-        theta_hat, phi_hat = self.direction.plane_basis()
-        return theta_hat if self.polarization == "theta" else phi_hat
-
 
 def ports_from_quadrature(quad: DirectionQuadrature, polarized: bool = False) -> list[FarFieldPort]:
     """One scalar port per quadrature direction, or a theta/phi pair when polarized."""
@@ -409,9 +406,9 @@ class ChannelOperator:
     point receiver has as many rows per point as a source has columns).
     Each kind has one block kernel, chosen here, that ``row_block`` slices
     and calls.  dense and frobenius_norm walk row spans, each at most 512
-    rows and 2**21 entries, through ``ordered_map`` with results taken in
-    span order, so no dense storage is required and results do not depend
-    on the thread count.
+    rows and 2**21 entries, through ``ordered_map`` (a pool of ``threads``,
+    the operator's only threading) in span order, so no dense storage is
+    required and results do not depend on the thread count.
 
     ``route`` says how apply and adjoint_apply run; it is planned on the
     first of the three, so operators that only give row blocks (dense
@@ -424,24 +421,22 @@ class ChannelOperator:
     column chunks onto the grid, multiplies by that transform and gathers
     the receiver points, the adjoint by its conjugate.  A chunk holds at
     most 2**17 grid entries (``_FFT_CHUNK_ENTRIES``, 2 MB), or one column
-    where a single grid is larger; the result is in Fortran order, each
-    chunk's columns written contiguously.  ``threads`` is the FFT worker
-    count (each 1D transform is computed the same way for any count, and
-    each column alone, so neither the count nor the chunk width changes a
-    bit of the result).  ``"rows"``: apply and adjoint_apply walk
-    the row spans like dense; meshes, multi-part regions and sample sets
-    built by hand carry no lattice and take it.
+    where a single grid is larger, and the chunks go through ``ordered_map``
+    like row spans into a Fortran-order result, each chunk's columns written
+    contiguously; each column is transformed alone, so neither the thread
+    count nor the chunk width changes a bit of the result.  ``"rows"``:
+    apply and adjoint_apply walk the row spans like dense; meshes,
+    multi-part regions and sample sets built by hand carry no lattice and
+    take it.
     """
 
     def __init__(self, kind: str, k: float, tx: SampleSet, receiver, threads: int = 1):
-        if threads < 1:
-            raise ValueError(f"threads must be at least 1, got {threads}")
         if not isinstance(tx, SampleSet):
             raise TypeError("transmit samples must be a SampleSet")
         self.kind = kind
         self.k = float(k)
         self.tx = tx
-        self.threads = int(threads)
+        self.threads = thread_count(threads)
         polarized = False
         if kind in ("farfield2d", "farfield3d"):
             self.ports = list(receiver)
@@ -584,8 +579,8 @@ class ChannelOperator:
         for at in (rx_at, tx_at):
             mask = np.zeros(grid)
             mask.flat[at] = 1.0
-            masks.append(fft.fftn(mask, workers=self.threads))
-        pairs = fft.ifftn(masks[0] * masks[1].conj(), workers=self.threads).real
+            masks.append(fft.fftn(mask))
+        pairs = fft.ifftn(masks[0] * masks[1].conj()).real
         realised = np.flatnonzero(pairs > 0.5)  # offset index wrapped onto the grid
         wrapped = np.array(np.unravel_index(realised, grid)).T
         delta = np.where(wrapped < rx_extent, wrapped, wrapped - grid)
@@ -594,29 +589,28 @@ class ChannelOperator:
         offsets[np.linalg.norm(offsets, axis=1) <= _GRID_EPS * h] = 0.0
         table = np.zeros(grid, dtype=complex)
         table.flat[realised] = self._kernel(offsets, np.zeros((1, offsets.shape[1])), self.k)[:, 0]
-        return tx_at, rx_at, fft.fftn(table, workers=self.threads, overwrite_x=True)
+        return tx_at, rx_at, fft.fftn(table, overwrite_x=True)
 
     def _convolve(self, x: np.ndarray, src_at, dst_at, table_hat) -> np.ndarray:
-        """Scatter columns of x onto the grid, multiply by the table transform, gather.
-
-        Columns go in chunks of at most ``_FFT_CHUNK_ENTRIES`` padded grid
-        entries, one column per chunk where a single grid is larger, into a
-        Fortran-order result, where each chunk's columns are contiguous.
-        """
+        """Scatter column chunks of x onto the grid, multiply by the table transform, gather."""
         cols = x.reshape(x.shape[0], -1)
         size = table_hat.size
         step = max(1, _FFT_CHUNK_ENTRIES // size)
         axes = tuple(range(1, table_hat.ndim + 1))
-        out = np.empty((dst_at.shape[0], cols.shape[1]), dtype=complex, order="F")
-        for lo in range(0, cols.shape[1], step):
+
+        def chunk(lo):
             hi = min(lo + step, cols.shape[1])
             grid = np.zeros((hi - lo, size), dtype=complex)
             grid[:, src_at] = cols[:, lo:hi].T
-            spec = fft.fftn(grid.reshape((hi - lo,) + table_hat.shape), axes=axes,
-                            workers=self.threads, overwrite_x=True)
+            spec = fft.fftn(grid.reshape((hi - lo,) + table_hat.shape), axes=axes, overwrite_x=True)
             spec *= table_hat
-            field = fft.ifftn(spec, axes=axes, workers=self.threads, overwrite_x=True)
-            out[:, lo:hi] = field.reshape(hi - lo, size)[:, dst_at].T
+            field = fft.ifftn(spec, axes=axes, overwrite_x=True)
+            return field.reshape(hi - lo, size)[:, dst_at].T
+
+        out = np.empty((dst_at.shape[0], cols.shape[1]), dtype=complex, order="F")
+        starts = range(0, cols.shape[1], step)
+        for lo, part in zip(starts, ordered_map(chunk, starts, self.threads)):
+            out[:, lo:lo + step] = part
         return out.reshape((dst_at.shape[0],) + x.shape[1:])
 
     @property

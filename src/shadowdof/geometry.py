@@ -4,12 +4,13 @@ Shapes are validated at construction; every operation below may assume a
 valid shape.  Projections map a shape onto the axis (2D) or plane (3D)
 orthogonal to an illumination direction; intersections of the resulting
 shadow regions are exact for intervals and convex polygons.  ``ordered_map``
-is the package's one thread pool (channel row spans, mesh panel spans).
+is the package's one thread pool (row spans, lattice chunks, mesh panels).
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -710,6 +711,13 @@ def mesh_sphere(center, radius: float, h: float) -> TriangleMesh:
 
 # ---------------------------------------------------------------------------
 # Ordered map
+
+
+def thread_count(threads) -> int:
+    """``threads`` as an int; ValueError unless it is an integer >= 1 (not a bool)."""
+    if isinstance(threads, bool) or not isinstance(threads, numbers.Integral) or threads < 1:
+        raise ValueError(f"threads must be an integer >= 1, got {threads!r}")
+    return int(threads)
 
 
 def ordered_map(work, spans: list, threads: int):

@@ -34,6 +34,7 @@ from .geometry import (
     project_shape_3d,
     shape_centroid,
     support_intervals,
+    thread_count,
     union_area,
     union_length,
 )
@@ -326,8 +327,7 @@ def mesh_mutual_shadow(T: Region, R: Region, threads: int = 1) -> float:
     once per boundary crossing, so the sum is divided by the crossing counts
     xi_T xi_R (2 for closed convex surfaces, 1 for planar patches).
     """
-    if threads < 1:
-        raise ValueError(f"threads must be at least 1, got {threads}")
+    threads = thread_count(threads)
     ct, at, nt, dt = _gather_panels(T)
     cr, ar, nr, dr = _gather_panels(R)
     xt = _region_crossings(T)

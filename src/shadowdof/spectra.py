@@ -92,10 +92,6 @@ class SpectrumResult:
         object.__setattr__(self, "sigma", s)
         object.__setattr__(self, "zeta", z)
 
-    @property
-    def n_values(self) -> int:
-        return self.sigma.shape[0]
-
 
 def effective_ndof(sigma) -> float:
     """Participation-ratio NDoF (sum sigma)**2 / sum(sigma**2)."""
@@ -119,8 +115,7 @@ def knee_ndof(zeta) -> int:
     return int(np.sum(z >= 0.5 * plateau))
 
 
-def spectrum_from_sigma(sigma, method: str, seed: int | None = None,
-                        route: str | None = None) -> SpectrumResult:
+def spectrum_from_sigma(sigma, method: str, route: str | None = None) -> SpectrumResult:
     """Package raw squared singular values into a SpectrumResult."""
     s = np.asarray(sigma, dtype=float)
     order = np.argsort(-s, kind="stable")
@@ -131,7 +126,7 @@ def spectrum_from_sigma(sigma, method: str, seed: int | None = None,
     zeta = s / total
     zeta = zeta / zeta.sum()  # exact renormalization for the 1e-12 identities
     n_e = 1.0 / float(zeta @ zeta)
-    return SpectrumResult(s, zeta, n_e, knee_ndof(zeta), method, seed, route)
+    return SpectrumResult(s, zeta, n_e, knee_ndof(zeta), method, route=route)
 
 
 def dense_entries(n_rows: int, n_cols: int) -> int:
@@ -256,7 +251,6 @@ def randomized_spectrum(h, p: int, seed: int, power_iters: int = 1) -> SpectrumR
         if i < power_iters:
             y = timed("passes_s", mul, x)
             del x
-    sigma = dense_spectrum(x).sigma
-    result = spectrum_from_sigma(sigma, f"randomized(P={p}, power_iters={power_iters})", seed,
-                                 h.route if isinstance(h, ChannelOperator) else "rows")
-    return dataclasses.replace(result, timings=timings)
+    return dataclasses.replace(
+        dense_spectrum(x), method=f"randomized(P={p}, power_iters={power_iters})", seed=seed,
+        route=h.route if isinstance(h, ChannelOperator) else "rows", timings=timings)

@@ -313,11 +313,14 @@ def test_dense_matches_matrix_free():
 
 def test_threaded_apply_identical(monkeypatch):
     monkeypatch.setattr(channel, "_BLOCK_ROWS", 16)  # several spans for the rows route's pool
+    monkeypatch.setattr(channel, "_FFT_CHUNK_ENTRIES", 1)  # one column per lattice chunk
     plates = assemble_channel(_plate_samples([0, 0, 0], _H), _plate_samples([0, 0, 1], _H), _K)
-    for op1, threads, route in ((_small_channel(), 8, "lattice"), (plates, 2, "lattice"),
+    for op1, threads, route in ((_small_channel(), 8, "lattice"),
+                                (plates, np.int64(2), "lattice"),
                                 (_fallback_random(), 8, "rows")):
         opn = ChannelOperator(op1.kind, op1.k, op1.tx, op1.rx, threads=threads)
         assert opn.route == op1.route == route
+        assert type(opn.threads) is int and opn.threads == threads
         rng = np.random.default_rng(2)
         x = rng.standard_normal((op1.n_cols, 3)) + 1j * rng.standard_normal((op1.n_cols, 3))
         assert np.array_equal(op1.apply(x), opn.apply(x))
@@ -325,7 +328,7 @@ def test_threaded_apply_identical(monkeypatch):
         assert np.array_equal(op1.adjoint_apply(y), opn.adjoint_apply(y))
         assert np.array_equal(op1.dense(), opn.dense())
         assert op1.frobenius_norm() == opn.frobenius_norm()
-    for threads in (0, -3):
+    for threads in (0, -3, 2.5, True):
         with pytest.raises(ValueError, match="threads"):
             ChannelOperator(op1.kind, op1.k, op1.tx, op1.rx, threads=threads)
 
@@ -409,15 +412,17 @@ def test_lattice_route_matches_rows(name):
 @pytest.mark.parametrize("name", ["parallel-plates", "spheres"])
 def test_lattice_passes_do_not_depend_on_chunk_width(name, monkeypatch):
     # each column is transformed alone, so one column per chunk, the default
-    # 2**17 grid entries (2 and 14 chunks here) and one chunk give the same bits
+    # 2**17 grid entries (2 and 14 chunks here) and one chunk give the same bits,
+    # and so do the chunks taken two at a time by the pool
     tx, rx = LATTICE_PAIRS[name]()
     rng = np.random.default_rng(9)
     x = rng.standard_normal((tx.count, 120)) + 1j * rng.standard_normal((tx.count, 120))
     y = rng.standard_normal((rx.count, 120)) + 1j * rng.standard_normal((rx.count, 120))
     passes = []
-    for entries in (channel._FFT_CHUNK_ENTRIES, 1, 2**21):
+    default = channel._FFT_CHUNK_ENTRIES
+    for entries, threads in ((default, 1), (1, 1), (2**21, 1), (default, 2), (1, 2)):
         monkeypatch.setattr(channel, "_FFT_CHUNK_ENTRIES", entries)
-        op = assemble_channel(tx, rx, _K)
+        op = assemble_channel(tx, rx, _K, threads=threads)
         assert op.route == "lattice"
         passes.append((op.apply(x), op.adjoint_apply(y)))
     for hx, hy in passes:
@@ -592,7 +597,7 @@ def test_farfield_em_ports():
     assert op.shape == (2 * quad.n, 3 * n_src)
     # polarization vectors are orthogonal to their propagation directions
     for p in ports:
-        assert abs(p.pol_vector() @ p.direction.khat) < 1e-12
+        assert all(abs(v @ p.direction.khat) < 1e-12 for v in p.direction.plane_basis())
     # adjoint still consistent for the EM far-field kind
     rng = np.random.default_rng(4)
     x = rng.standard_normal(op.n_cols) + 1j * rng.standard_normal(op.n_cols)
@@ -617,7 +622,8 @@ def test_farfield_port_arrays_equal_per_port_values(case):
     assert np.array_equal(khats, np.array([p.direction.khat for p in ports]))
     assert np.array_equal(sqrtw, np.array([math.sqrt(p.weight) for p in ports]))
     if case == "3d polarized":
-        assert np.array_equal(pols[0], np.array([p.pol_vector() for p in ports]))
+        assert np.array_equal(pols[0], np.array([p.direction.plane_basis()[p.polarization == "phi"]
+                                                 for p in ports]))
     else:
         assert pols == []
 

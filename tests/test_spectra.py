@@ -187,7 +187,7 @@ def test_gram_route_matches_svd(name, block_span, monkeypatch):
     spec = dense_spectrum(h)
     assert spec.method == "dense"
     assert spec.route == GRAM_CASES[name]
-    assert spec.n_values == min(matrix.shape)
+    assert spec.sigma.shape[0] == min(matrix.shape)
     top = ref.sigma[0]
     assert np.all(np.abs(spec.sigma - ref.sigma) <= 1e-12 * top)
     # the absolute floor (about 1e-14 sigma_1 here) makes values near the top
@@ -243,7 +243,7 @@ def test_gram_route_cap_counts_gram_and_block(monkeypatch):
     n_rows, n_cols = op.shape
     entries = dense_entries(n_rows, n_cols)
     assert entries == n_rows**2 + 7 * n_rows < n_rows * n_cols
-    assert dense_spectrum(op, cap=entries).n_values == n_rows
+    assert dense_spectrum(op, cap=entries).sigma.shape[0] == n_rows
     with pytest.raises(TooLargeForDenseError):
         dense_spectrum(op, cap=entries - 1)
     with pytest.raises(TooLargeForDenseError):
@@ -341,7 +341,7 @@ def test_randomized_ends_in_the_gram_eigensolve(name, monkeypatch):
     spec = randomized_spectrum(h, p=p, seed=9, power_iters=1)
     assert spec.method == f"randomized(P={p}, power_iters=1)"
     assert spec.seed == 9
-    assert spec.n_values == p
+    assert spec.sigma.shape[0] == p
     assert np.max(np.abs(spec.sigma - ref)) <= 1e-12 * ref[0]
 
 
