@@ -545,15 +545,27 @@ class ChannelOperator:
                         upper *= pols[0][r0:r1] @ pols[0][r0:].T
         return gram
 
+    @property
+    def lattice_frobenius_sq(self) -> float | None:
+        """||H||_F^2 of a lattice-route operator from its offset table, else None.
+
+        The sum over realised offsets of the pair count times |kernel|^2, so
+        no kernel evaluation beyond the table's; plans the route if no pass
+        has.
+        """
+        return None if self._lattice_table is None else self._lattice_table[3]
+
     @cached_property
     def _lattice_table(self):
-        """(transmit sites, receiver sites, table FFT) of the lattice route, or None.
+        """(transmit sites, receiver sites, table FFT, ||H||_F^2) of the lattice route, or None.
 
         H[i, j] is the kernel at offset + (rx_index[i] - tx_index[j]) @ steps,
         with both indices counted from their set's smallest.  Only offsets some
         pair realises, the nonzero entries of the mask cross-correlation, are
         evaluated; the rest stay 0, since an offset no pair realises can be
-        singular where the two lattices coincide.
+        singular where the two lattices coincide.  The cross-correlation
+        counts the pairs at each offset, so it also weighs |kernel|^2 into
+        ||H||_F^2.
         """
         tx = self.tx.lattice
         rx = self.rx.lattice if self.rx is not None else None
@@ -587,9 +599,11 @@ class ChannelOperator:
         offsets = (rx.origin + rx_lo @ steps) - (tx.origin + tx_lo @ steps) + delta @ steps
         # a coincident pair is exactly zero apart, as row_block sees it
         offsets[np.linalg.norm(offsets, axis=1) <= _GRID_EPS * h] = 0.0
+        values = self._kernel(offsets, np.zeros((1, offsets.shape[1])), self.k)[:, 0]
+        frobenius_sq = float(np.rint(pairs.flat[realised]) @ (values.real ** 2 + values.imag ** 2))
         table = np.zeros(grid, dtype=complex)
-        table.flat[realised] = self._kernel(offsets, np.zeros((1, offsets.shape[1])), self.k)[:, 0]
-        return tx_at, rx_at, fft.fftn(table, overwrite_x=True)
+        table.flat[realised] = values
+        return tx_at, rx_at, fft.fftn(table, overwrite_x=True), frobenius_sq
 
     def _convolve(self, x: np.ndarray, src_at, dst_at, table_hat) -> np.ndarray:
         """Scatter column chunks of x onto the grid, multiply by the table transform, gather."""
@@ -646,7 +660,7 @@ class ChannelOperator:
         if x.shape[0] != self.n_cols:
             raise ValueError(f"expected leading dimension {self.n_cols}, got {x.shape[0]}")
         if self._lattice_table is not None:
-            tx_at, rx_at, table_hat = self._lattice_table
+            tx_at, rx_at, table_hat, _ = self._lattice_table
             return self._convolve(x, tx_at, rx_at, table_hat)
         y = np.empty((self.n_rows,) + x.shape[1:], dtype=complex)
         spans = self._spans()
@@ -661,7 +675,7 @@ class ChannelOperator:
         if y.shape[0] != self.n_rows:
             raise ValueError(f"expected leading dimension {self.n_rows}, got {y.shape[0]}")
         if self._lattice_table is not None:
-            tx_at, rx_at, table_hat = self._lattice_table
+            tx_at, rx_at, table_hat, _ = self._lattice_table
             return self._convolve(y, rx_at, tx_at, table_hat.conj())
         out = np.zeros((self.n_cols,) + y.shape[1:], dtype=complex)
         for part in ordered_map(  # span order keeps the sum reproducible

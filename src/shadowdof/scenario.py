@@ -28,7 +28,7 @@ from .channel import (
     sample_region,
 )
 from .errors import ScenarioError, ShadowDofError
-from .geometry import ConvexPolygon, Disc, PlanarPolygon, Segment, Sphere
+from .geometry import ConvexPolygon, Disc, PlanarPolygon, Segment, Sphere, thread_count
 from .quadrature import TWO_PI, circle_quadrature, scene_circle_quadrature, sphere_quadrature
 from .shadow import (
     NDOF_MODELS,
@@ -378,14 +378,16 @@ def run_scenario(config: ScenarioConfig, threads: int = 1):
     """Full pipeline; returns (summary, shadow_result, spectrum_result).
 
     With zero shadow (empty coverage or disjoint shadows everywhere) no
-    channel is built and the spectrum is None.
+    channel is built and the spectrum is None.  A bad ``threads`` raises
+    ValueError before any stage runs.
     """
+    threads = thread_count(threads)
     t0 = time.perf_counter()
     msr = compute_shadow(config)
     timings = {"shadow_s": time.perf_counter() - t0}
     summary = shadow_summary(config, msr)
     summary.update({"n_e": None, "n_k": None, "method": None, "route": None, "n_t": 0,
-                    "n_r": 0, "timings": timings})
+                    "n_r": 0, "captured_energy": None, "timings": timings})
     if summary["wavelength"] is None:
         return summary, msr, None
     t1 = time.perf_counter()
@@ -394,10 +396,10 @@ def run_scenario(config: ScenarioConfig, threads: int = 1):
     t2 = time.perf_counter()
     spec = compute_spectrum(config, op, summary["n_a"])
     timings["spectrum_s"] = time.perf_counter() - t2
-    timings.update(spec.timings or {})  # a sketch's passes_s and qr_s, parts of spectrum_s
+    timings.update(spec.timings or {})  # a sketch's passes_s, lu_s and qr_s, parts of spectrum_s
     summary.update({"n_e": spec.n_effective, "n_k": spec.n_knee, "method": spec.method,
-                    "route": spec.route,
-                    "n_t": op.n_cols, "n_r": op.n_rows})
+                    "route": spec.route, "n_t": op.n_cols, "n_r": op.n_rows,
+                    "captured_energy": spec.captured_energy})
     return summary, msr, spec
 
 

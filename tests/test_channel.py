@@ -553,6 +553,16 @@ def test_lattice_table_built_on_first_apply():
     assert vars(op)["_lattice_table"] is table
 
 
+def test_lattice_frobenius_from_the_offset_table():
+    # pair counts from the mask cross-correlation times |g|^2 over the table's
+    # offsets, against the row blocks' sum over every entry of H
+    op = assemble_channel(_plate_samples([0, 0, 0], _H),
+                          _plate_samples([0.3, 0.2, 1], _H, side=0.6), _K)
+    assert op.route == "lattice"
+    assert op.lattice_frobenius_sq == pytest.approx(op.frobenius_norm() ** 2, rel=1e-12, abs=0)
+    assert _fallback_random().lattice_frobenius_sq is None
+
+
 def test_regions_too_close():
     t = Region((Segment([0.0, 0.0], [1.0, 0.0]),), "T")
     r = Region((Segment([0.0, 0.05], [1.0, 0.05]),), "R")

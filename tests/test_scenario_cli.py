@@ -222,6 +222,16 @@ def test_run_scenario_empty_coverage():
     assert spec is None
 
 
+@pytest.mark.parametrize("threads", [2.5, 0, True])
+def test_run_scenario_checks_threads_before_any_stage(monkeypatch, threads):
+    def refuse(config):
+        raise AssertionError("the shadow stage ran before threads was checked")
+
+    monkeypatch.setattr(scenario, "compute_shadow", refuse)
+    with pytest.raises(ValueError, match="threads"):
+        run_scenario(lines_config(), threads=threads)
+
+
 # ---------------------------------------------------------------------------
 # CLI surface
 
@@ -515,10 +525,12 @@ def test_cli_summaries_carry_the_shadow_stage(tmp_path):
     sketched, _, _ = run_scenario(
         dataclasses.replace(load_scenario(TWO_LINES_YAML), method="randomized"))
     assert sketched["route"] == "lattice"
+    assert library["captured_energy"] is None  # dense: nothing was sketched
+    assert 0.0 < sketched["captured_energy"] < 1.0 + 1e-12
     assert set(library["timings"]) == {"shadow_s", "assemble_s", "spectrum_s"}
     layers = sketched["timings"]  # a sketch adds the parts of spectrum_s it can name
-    assert set(layers) == {"shadow_s", "assemble_s", "spectrum_s", "passes_s", "qr_s"}
-    assert 0.0 < layers["passes_s"] + layers["qr_s"] < layers["spectrum_s"]
+    assert set(layers) == {"shadow_s", "assemble_s", "spectrum_s", "passes_s", "lu_s", "qr_s"}
+    assert 0.0 < layers["passes_s"] + layers["lu_s"] + layers["qr_s"] < layers["spectrum_s"]
     for command in ("shadow", "ndof", "spectrum", "capacity"):  # the CLI adds its writing time
         timings = summaries[command]["timings"]
         stages = {"shadow_s"} if command in ("shadow", "ndof") else set(library["timings"])

@@ -345,12 +345,56 @@ def test_randomized_ends_in_the_gram_eigensolve(name, monkeypatch):
     assert np.max(np.abs(spec.sigma - ref)) <= 1e-12 * ref[0]
 
 
+@pytest.mark.parametrize("name", list(SKETCH_CASES))
+def test_lu_power_step_matches_householder(name, monkeypatch):
+    # P L spans the power step's Y, so the values are a QR-only sketch's up to
+    # rounding: measured at most 2.0e-15 sigma_1 over these cases at one and two
+    # power iterations; the bound leaves 5x
+    h = SKETCH_CASES[name]()
+    p = min(h.shape) // 2
+    for power_iters in (1, 2):
+        lu = randomized_spectrum(h, p=p, seed=9, power_iters=power_iters)
+        with monkeypatch.context() as m:
+            m.setattr(spectra, "_lu_basis", spectra._basis)
+            ref = randomized_spectrum(h, p=p, seed=9, power_iters=power_iters)
+        assert np.max(np.abs(lu.sigma - ref.sigma)) <= 1e-14 * ref.sigma[0]
+        assert lu.n_knee == ref.n_knee
+    if name == "lattice":  # the only route with ||H||_F^2 from the offset table
+        expected = math.fsum(lu.sigma) / h.frobenius_norm() ** 2
+        assert lu.captured_energy == pytest.approx(expected, rel=1e-12, abs=0)
+    else:
+        assert lu.captured_energy is None
+
+
+@pytest.mark.parametrize("power_iters", [1, 2, 3])
+def test_lu_power_step_on_a_rank_deficient_matrix(power_iters):
+    # rank 8 with P = 20: after eight steps the LU pivots on rounding noise, yet
+    # P L keeps unit columns and the top 8 values hold (measured <= 1.9e-15)
+    rng = np.random.default_rng(3)
+    u, _ = np.linalg.qr(rng.standard_normal((120, 8)) + 1j * rng.standard_normal((120, 8)))
+    v, _ = np.linalg.qr(rng.standard_normal((120, 8)) + 1j * rng.standard_normal((120, 8)))
+    m = (u * np.linspace(1.0, 0.3, 8)) @ v.conj().T
+    ref = dense_spectrum(m).sigma[:8]
+    spec = randomized_spectrum(m, p=20, seed=4, power_iters=power_iters)
+    assert np.all(np.isfinite(spec.sigma))
+    assert np.max(np.abs(spec.sigma[:8] - ref) / ref) < 1e-10
+
+
+def test_no_power_step_takes_no_lu(monkeypatch):
+    def refuse(y):
+        raise AssertionError("a sketch without power iterations took an LU")
+
+    monkeypatch.setattr(spectra, "_lu_basis", refuse)
+    spec = randomized_spectrum(SKETCH_CASES["ndarray"](), p=10, seed=9, power_iters=0)
+    assert spec.timings["lu_s"] == 0.0
+
+
 def test_sketch_holds_about_two_n_by_p_matrices():
     # two unit plates at d = 1 on the lattice route, N = 4096 a side and P = 300,
     # as squares_parallel.yaml: the traced peak, the table build included, measured
     # 2.24 N P 16 bytes (the test matrix and Y = H A, then each basis with the next
-    # pass's result, plus the FFT chunks); holding A, Y and np.linalg.qr's copies
-    # measured 8.41
+    # pass's result, plus the FFT chunks), with the LU power step as with a QR at
+    # every step; holding A, Y and np.linalg.qr's copies measured 8.41
     h = 1.0 / 63
     sides = []
     for z in (0.0, 1.0):
@@ -369,6 +413,6 @@ def test_sketch_holds_about_two_n_by_p_matrices():
     finally:
         tracemalloc.stop()
     assert peak < 2.5 * n * p * 16
-    assert set(spec.timings) == {"passes_s", "qr_s"}
-    assert 0.0 < spec.timings["passes_s"] and 0.0 < spec.timings["qr_s"]
-    assert spec.timings["passes_s"] + spec.timings["qr_s"] < total
+    assert set(spec.timings) == {"passes_s", "lu_s", "qr_s"}
+    assert all(v > 0.0 for v in spec.timings.values())
+    assert sum(spec.timings.values()) < total
