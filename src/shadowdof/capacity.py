@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+import scipy  # submodules load on first attribute use (tests/test_imports.py)
 
 from .channel import ChannelOperator
 from .errors import AllZeroEfficienciesError, NotSPDError

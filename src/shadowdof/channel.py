@@ -36,11 +36,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy import fft
-from scipy.linalg.blas import zherk
-from scipy.spatial import cKDTree
-from scipy.spatial.distance import cdist
-from scipy.special import hankel2
+import scipy  # submodules load on first attribute use (tests/test_imports.py)
 
 from .errors import (
     CoincidentPointsError,
@@ -262,14 +258,14 @@ def sample_region(region: Region, spacing: float) -> SampleSet:
 
 
 def _separations(rx: np.ndarray, tx: np.ndarray) -> np.ndarray:
-    dist = cdist(rx, tx)
+    dist = scipy.spatial.distance.cdist(rx, tx)
     if np.any(dist == 0.0):
         raise CoincidentPointsError("coincident transmit/receive points")
     return dist
 
 
 def _hankel_block(rx: np.ndarray, tx: np.ndarray, k: float) -> np.ndarray:
-    return 0.25j * hankel2(0, k * _separations(rx, tx))
+    return 0.25j * scipy.special.hankel2(0, k * _separations(rx, tx))
 
 
 def _spherical_block(rx: np.ndarray, tx: np.ndarray, k: float) -> np.ndarray:
@@ -514,8 +510,8 @@ class ChannelOperator:
                 for lo in range(0, sites.shape[0], _RUN_CHUNK):
                     e = _phases(khat, sites[lo:lo + _RUN_CHUNK], self.k)
                     # e.T is a Fortran view; trans=2 gives conj(E E^H), as the blocks do
-                    gram = zherk(sign, e.T, beta=1.0, c=gram, trans=2, lower=int(a > 0),
-                                 overwrite_c=1)
+                    gram = scipy.linalg.blas.zherk(sign, e.T, beta=1.0, c=gram, trans=2,
+                                                   lower=int(a > 0), overwrite_c=1)
                     del e
             if a == 0 and len(runs) > 1:
                 continue  # fold once the lower triangle holds axis 1
@@ -584,15 +580,15 @@ class ChannelOperator:
         box = tx_index.max(axis=0) + rx_extent
         if np.prod(box) > self.tx.count * self.rx.count:
             return None
-        grid = tuple(fft.next_fast_len(int(n)) for n in box)
+        grid = tuple(scipy.fft.next_fast_len(int(n)) for n in box)
         tx_at = np.ravel_multi_index(tx_index.T, grid)
         rx_at = np.ravel_multi_index(rx_index.T, grid)
         masks = []
         for at in (rx_at, tx_at):
             mask = np.zeros(grid)
             mask.flat[at] = 1.0
-            masks.append(fft.fftn(mask))
-        pairs = fft.ifftn(masks[0] * masks[1].conj()).real
+            masks.append(scipy.fft.fftn(mask))
+        pairs = scipy.fft.ifftn(masks[0] * masks[1].conj()).real
         realised = np.flatnonzero(pairs > 0.5)  # offset index wrapped onto the grid
         wrapped = np.array(np.unravel_index(realised, grid)).T
         delta = np.where(wrapped < rx_extent, wrapped, wrapped - grid)
@@ -603,7 +599,7 @@ class ChannelOperator:
         frobenius_sq = float(np.rint(pairs.flat[realised]) @ (values.real ** 2 + values.imag ** 2))
         table = np.zeros(grid, dtype=complex)
         table.flat[realised] = values
-        return tx_at, rx_at, fft.fftn(table, overwrite_x=True), frobenius_sq
+        return tx_at, rx_at, scipy.fft.fftn(table, overwrite_x=True), frobenius_sq
 
     def _convolve(self, x: np.ndarray, src_at, dst_at, table_hat) -> np.ndarray:
         """Scatter column chunks of x onto the grid, multiply by the table transform, gather."""
@@ -616,9 +612,10 @@ class ChannelOperator:
             hi = min(lo + step, cols.shape[1])
             grid = np.zeros((hi - lo, size), dtype=complex)
             grid[:, src_at] = cols[:, lo:hi].T
-            spec = fft.fftn(grid.reshape((hi - lo,) + table_hat.shape), axes=axes, overwrite_x=True)
+            spec = scipy.fft.fftn(grid.reshape((hi - lo,) + table_hat.shape), axes=axes,
+                                  overwrite_x=True)
             spec *= table_hat
-            field = fft.ifftn(spec, axes=axes, overwrite_x=True)
+            field = scipy.fft.ifftn(spec, axes=axes, overwrite_x=True)
             return field.reshape(hi - lo, size)[:, dst_at].T
 
         out = np.empty((dst_at.shape[0], cols.shape[1]), dtype=complex, order="F")
@@ -716,7 +713,7 @@ def assemble_channel(tx: SampleSet, receiver, k: float, kind: str | None = None,
         if receiver.dimension != tx.dimension:
             raise ValueError("transmit and receive samples must share the dimension")
         min_gap = min(tx.spacing, receiver.spacing)
-        dist, _ = cKDTree(tx.points).query(receiver.points, k=1)
+        dist, _ = scipy.spatial.cKDTree(tx.points).query(receiver.points, k=1)
         if float(np.min(dist)) < min_gap * (1.0 - 1e-12):
             raise RegionsTooCloseError(
                 "transmit and receive samples closer than the sampling spacing")

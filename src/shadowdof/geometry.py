@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
+import scipy  # submodules load on first attribute use (tests/test_imports.py)
 
 __all__ = [
     "Direction",
@@ -445,8 +445,8 @@ def convex_hull_2d(points: np.ndarray) -> np.ndarray:
     if pts.shape[0] < 3:
         return np.zeros((0, 2))
     try:
-        hull = ConvexHull(pts)
-    except QhullError:
+        hull = scipy.spatial.ConvexHull(pts)
+    except scipy.spatial.QhullError:
         return np.zeros((0, 2))
     return pts[hull.vertices]
 
@@ -653,8 +653,6 @@ def mesh_plate(origin, u_vec, v_vec, h: float) -> TriangleMesh:
 
 def mesh_disc(center, normal, radius: float, h: float) -> TriangleMesh:
     """Delaunay triangulation of concentric rings with spacing ~h."""
-    from scipy.spatial import Delaunay
-
     center = _as_array(center, 3, "center")
     normal = _as_array(normal, 3, "normal")
     normal = normal / np.linalg.norm(normal)
@@ -671,7 +669,7 @@ def mesh_disc(center, normal, radius: float, h: float) -> TriangleMesh:
         t = 2 * np.pi * np.arange(m) / m + (0.5 * np.pi * i / n_rings)
         pts2.append(np.column_stack([r * np.cos(t), r * np.sin(t)]))
     pts2 = np.vstack(pts2)
-    tri = Delaunay(pts2)
+    tri = scipy.spatial.Delaunay(pts2)
     verts = center[None, :] + pts2[:, 0:1] * e1[None, :] + pts2[:, 1:2] * e2[None, :]
     tris = tri.simplices.copy()
     # enforce consistent in-plane orientation

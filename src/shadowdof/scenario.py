@@ -387,7 +387,8 @@ def run_scenario(config: ScenarioConfig, threads: int = 1):
     timings = {"shadow_s": time.perf_counter() - t0}
     summary = shadow_summary(config, msr)
     summary.update({"n_e": None, "n_k": None, "method": None, "route": None, "n_t": 0,
-                    "n_r": 0, "captured_energy": None, "timings": timings})
+                    "n_r": 0, "captured_energy": None, "zeta_error_bound": None,
+                    "values_below_floor": None, "timings": timings})
     if summary["wavelength"] is None:
         return summary, msr, None
     t1 = time.perf_counter()
@@ -399,7 +400,9 @@ def run_scenario(config: ScenarioConfig, threads: int = 1):
     timings.update(spec.timings or {})  # a sketch's passes_s, lu_s and qr_s, parts of spectrum_s
     summary.update({"n_e": spec.n_effective, "n_k": spec.n_knee, "method": spec.method,
                     "route": spec.route, "n_t": op.n_cols, "n_r": op.n_rows,
-                    "captured_energy": spec.captured_energy})
+                    "captured_energy": spec.captured_energy,
+                    "zeta_error_bound": spec.zeta_error_bound(round(summary["n_a"])),
+                    "values_below_floor": spec.values_below_floor})
     return summary, msr, spec
 
 

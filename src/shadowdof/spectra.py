@@ -45,9 +45,7 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh, qr
-from scipy.linalg.blas import zherk
-from scipy.linalg.lapack import zgetrf, zlaswp
+import scipy  # submodules load on first attribute use (tests/test_imports.py)
 
 from .channel import DENSE_CAP_ENTRIES, ChannelOperator
 from .errors import AllZeroSpectrumError, TooLargeForDenseError
@@ -58,6 +56,10 @@ from .errors import AllZeroSpectrumError, TooLargeForDenseError
 # 5.7 s with 64 and 5.8 s with 1024; on two threads 3.8-4.0 s with 256,
 # 3.8-4.2 s with 64 and 6.9-7.1 s with 1024.
 _BLOCK_SPAN = 256
+
+# The Gram eigensolve's absolute accuracy floor over sigma_1 (module docstring):
+# values below it are rounding noise.
+NOISE_FLOOR = 1e-13
 
 __all__ = [
     "SpectrumResult",
@@ -99,6 +101,28 @@ class SpectrumResult:
             raise ValueError("sum(zeta**2) must equal 1/N_e")
         object.__setattr__(self, "sigma", s)
         object.__setattr__(self, "zeta", z)
+
+    @property
+    def values_below_floor(self) -> int:
+        """Count of sigma_i below NOISE_FLOOR sigma_1, the values that are rounding noise."""
+        return int(np.count_nonzero(self.sigma < NOISE_FLOOR * self.sigma[0]))
+
+    def zeta_error_bound(self, n_top: int) -> float | None:
+        """Bound on the relative error of the top n_top zeta values of a sketch.
+
+        With missed energy e = 1 - captured_energy, Rayleigh-Ritz interlacing
+        gives each |zeta~_i - zeta_i| <= e and zeta_i >= (1 - e) zeta~_i, so
+        the top n_top values are off by at most e / ((1 - e) zeta~_{n_top})
+        relative (Halko, Martinsson & Tropp, SIAM Rev. 2011, sections 10-11).
+        None without a captured energy, or where zeta~_{n_top} is 0 or absent.
+        """
+        if self.captured_energy is None or not 1 <= n_top <= self.zeta.shape[0]:
+            return None
+        zeta_min = float(self.zeta[n_top - 1])
+        if zeta_min == 0.0:
+            return None
+        e = 1.0 - self.captured_energy
+        return max(e, 0.0) / ((1.0 - e) * zeta_min)
 
 
 def effective_ndof(sigma) -> float:
@@ -191,12 +215,12 @@ def dense_spectrum(h, cap: int = DENSE_CAP_ENTRIES) -> SpectrumResult:
         for block in _blocks(h):
             # block.T is a Fortran view of the block, so herk needs no copy; it
             # yields the conjugate of G, which has the same eigenvalues.
-            gram = zherk(1.0, block.T, beta=1.0, c=gram, trans=2 if wide else 0,
-                         overwrite_c=1)
+            gram = scipy.linalg.blas.zherk(1.0, block.T, beta=1.0, c=gram,
+                                           trans=2 if wide else 0, overwrite_c=1)
     # LAPACK's zheevd on G's upper triangle, as np.linalg.eigvalsh(G, "U") calls
     # it, but in place: numpy would first copy G
-    values = eigh(gram, lower=False, eigvals_only=True, overwrite_a=True, check_finite=False,
-                  driver="evd")
+    values = scipy.linalg.eigh(gram, lower=False, eigvals_only=True, overwrite_a=True,
+                               check_finite=False, driver="evd")
     return spectrum_from_sigma(np.maximum(values, 0.0)[::-1], "dense", route=route)
 
 
@@ -207,7 +231,7 @@ def _basis(y: np.ndarray) -> np.ndarray:
     same calls as np.linalg.qr, without its copies: on the Fortran-order
     result of a lattice pass there is none (a C-order y is copied once).
     """
-    return qr(y, mode="economic", overwrite_a=True, check_finite=False)[0]
+    return scipy.linalg.qr(y, mode="economic", overwrite_a=True, check_finite=False)[0]
 
 
 def _lu_basis(y: np.ndarray) -> np.ndarray:
@@ -222,11 +246,11 @@ def _lu_basis(y: np.ndarray) -> np.ndarray:
     is copied once.  On that 4096 x 300 y it took 0.05 s against 0.26-0.30 s
     for ``_basis`` (2-core Xeon, one BLAS thread).
     """
-    lu, piv, _ = zgetrf(y, overwrite_a=1)
+    lu, piv, _ = scipy.linalg.lapack.zgetrf(y, overwrite_a=1)
     for j in range(lu.shape[1]):
         lu[:j, j] = 0.0
         lu[j, j] = 1.0
-    return zlaswp(lu, piv, inc=-1, overwrite_a=1)
+    return scipy.linalg.lapack.zlaswp(lu, piv, inc=-1, overwrite_a=1)
 
 
 def randomized_spectrum(h, p: int, seed: int, power_iters: int = 1) -> SpectrumResult:

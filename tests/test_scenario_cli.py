@@ -5,6 +5,7 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
@@ -527,6 +528,12 @@ def test_cli_summaries_carry_the_shadow_stage(tmp_path):
     assert sketched["route"] == "lattice"
     assert library["captured_energy"] is None  # dense: nothing was sketched
     assert 0.0 < sketched["captured_energy"] < 1.0 + 1e-12
+    assert library["zeta_error_bound"] is None
+    assert sketched["zeta_error_bound"] >= 0.0
+    sigma = np.loadtxt(tmp_path / "spectrum" / "spectrum.csv", delimiter=",", skiprows=1)[:, 1]
+    below = int(np.count_nonzero(sigma < 1e-13 * sigma[0]))
+    for command in ("spectrum", "capacity"):
+        assert summaries[command]["values_below_floor"] == library["values_below_floor"] == below
     assert set(library["timings"]) == {"shadow_s", "assemble_s", "spectrum_s"}
     layers = sketched["timings"]  # a sketch adds the parts of spectrum_s it can name
     assert set(layers) == {"shadow_s", "assemble_s", "spectrum_s", "passes_s", "lu_s", "qr_s"}
@@ -538,6 +545,25 @@ def test_cli_summaries_carry_the_shadow_stage(tmp_path):
         assert 0.0 <= timings["write_s"] < 60.0
     assert summaries["capacity"]["rho"] == 1.0
     assert summaries["capacity"]["gammas"] == [0.5, 1.0, 10.0]
+
+
+def test_sketch_zeta_error_bound_matches_the_benchmark_oracle(monkeypatch):
+    # the bundled squares pair at N_a = 100, sketched on the lattice route; the
+    # oracle gets its own ||H||_F^2, summed pair by pair over the plates' grids
+    monkeypatch.syspath_prepend(str(SCENARIOS.parent / "perfbench"))
+    import bench_oracles as oracles
+
+    summary, _, spec = run_scenario(load_scenario(SCENARIOS / "squares_parallel.yaml"))
+    assert summary["route"] == "lattice"
+    spacing = summary["wavelength"] / 5.0
+    tx = oracles.plate_samples([0, 0, 0], [1, 0, 0], [0, 1, 0], spacing)
+    rx = oracles.plate_samples([0, 0, 1], [1, 0, 0], [0, 1, 0], spacing)
+    e, bound = oracles.zeta_error_bound(spec.sigma, oracles.frobenius_sq_scalar3d(tx, rx),
+                                        round(summary["n_a"]))
+    # e = 1 - sum(sigma) / ||H||_F^2 is about 7e-10, a difference of numbers near
+    # 1, so either side's e carries about u / e = 1.5e-7 relative rounding
+    assert 0.0 < e < 1e-8
+    assert summary["zeta_error_bound"] == pytest.approx(bound, rel=1e-6, abs=0)
 
 
 def test_cli_rerun_byte_identical(tmp_path):
