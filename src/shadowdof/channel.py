@@ -418,9 +418,10 @@ class ChannelOperator:
     the receiver points, the adjoint by its conjugate.  A chunk holds at
     most 2**17 grid entries (``_FFT_CHUNK_ENTRIES``, 2 MB), or one column
     where a single grid is larger, and the chunks go through ``ordered_map``
-    like row spans into a Fortran-order result, each chunk's columns written
-    contiguously; each column is transformed alone, so neither the thread
-    count nor the chunk width changes a bit of the result.  ``"rows"``:
+    like row spans into a Fortran-order result (or ``out``, which may be the
+    input's own memory), each chunk's columns written contiguously; each
+    column is transformed alone, so neither the thread count, nor the chunk
+    width, nor the chunk order changes a bit of the result.  ``"rows"``:
     apply and adjoint_apply walk the row spans like dense; meshes,
     multi-part regions and sample sets built by hand carry no lattice and
     take it.
@@ -601,15 +602,32 @@ class ChannelOperator:
         table.flat[realised] = values
         return tx_at, rx_at, scipy.fft.fftn(table, overwrite_x=True), frobenius_sq
 
-    def _convolve(self, x: np.ndarray, src_at, dst_at, table_hat) -> np.ndarray:
-        """Scatter column chunks of x onto the grid, multiply by the table transform, gather."""
+    def _convolve(self, x: np.ndarray, src_at, dst_at, table_hat, out=None) -> np.ndarray:
+        """Scatter column chunks of x onto the grid, multiply by the table transform, gather.
+
+        Each chunk's result is written into ``out`` once the chunk is done, left
+        to right when the destination has at most as many rows as x, else right
+        to left.  So where out and x are Fortran-order views from one address,
+        as in the sketch's buffer, no write reaches a column of x not yet read,
+        even with 2 * threads chunks in flight; any other overlap copies x first.
+        """
         cols = x.reshape(x.shape[0], -1)
+        n_dst, n = dst_at.shape[0], cols.shape[1]
+        if out is None or out.ndim > 2:  # a C-order reshape of a 3-D out would copy it
+            dest = np.empty((n_dst, n), dtype=complex, order="F")
+        else:
+            dest = out.reshape(n_dst, n)
+            if np.may_share_memory(cols, dest) and not (
+                    cols.flags.f_contiguous and dest.flags.f_contiguous
+                    and cols.__array_interface__["data"][0]
+                    == dest.__array_interface__["data"][0]):
+                cols = cols.copy(order="F")
         size = table_hat.size
         step = max(1, _FFT_CHUNK_ENTRIES // size)
         axes = tuple(range(1, table_hat.ndim + 1))
 
         def chunk(lo):
-            hi = min(lo + step, cols.shape[1])
+            hi = min(lo + step, n)
             grid = np.zeros((hi - lo, size), dtype=complex)
             grid[:, src_at] = cols[:, lo:hi].T
             spec = scipy.fft.fftn(grid.reshape((hi - lo,) + table_hat.shape), axes=axes,
@@ -618,11 +636,16 @@ class ChannelOperator:
             field = scipy.fft.ifftn(spec, axes=axes, overwrite_x=True)
             return field.reshape(hi - lo, size)[:, dst_at].T
 
-        out = np.empty((dst_at.shape[0], cols.shape[1]), dtype=complex, order="F")
-        starts = range(0, cols.shape[1], step)
+        starts = range(0, n, step)
+        if n_dst > cols.shape[0]:
+            starts = starts[::-1]
         for lo, part in zip(starts, ordered_map(chunk, starts, self.threads)):
-            out[:, lo:lo + step] = part
-        return out.reshape((dst_at.shape[0],) + x.shape[1:])
+            dest[:, lo:lo + step] = part
+        if out is None:
+            return dest.reshape((n_dst,) + x.shape[1:])
+        if out.ndim > 2:
+            out[...] = dest.reshape(out.shape)
+        return out
 
     @property
     def n_rows(self) -> int:
@@ -651,34 +674,52 @@ class ChannelOperator:
         step = min(_BLOCK_ROWS, max(1, _BLOCK_ENTRIES // max(1, self.n_cols)))
         return [(lo, min(lo + step, self.n_rows)) for lo in range(0, self.n_rows, step)]
 
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        """y = H x for a vector or a stack of column vectors."""
+    def _check(self, v: np.ndarray, rows: int, out_rows: int, out) -> None:
+        if v.shape[0] != rows:
+            raise ValueError(f"expected leading dimension {rows}, got {v.shape[0]}")
+        if out is not None and (out.shape != (out_rows,) + v.shape[1:]
+                                or out.dtype != complex):
+            raise ValueError(f"out must be a complex array of shape {(out_rows,) + v.shape[1:]}")
+
+    def apply(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """y = H x for a vector or a stack of column vectors.
+
+        With ``out`` (complex, the result's shape) the result is written there
+        and returned; out may share memory with x.  On the lattice route each
+        column chunk is written in place, so Fortran-order views of one
+        buffer from one address (the sketch's) need no second array; the
+        rows route computes into a temporary and copies it into out.
+        """
         x = np.asarray(x)
-        if x.shape[0] != self.n_cols:
-            raise ValueError(f"expected leading dimension {self.n_cols}, got {x.shape[0]}")
+        self._check(x, self.n_cols, self.n_rows, out)
         if self._lattice_table is not None:
             tx_at, rx_at, table_hat, _ = self._lattice_table
-            return self._convolve(x, tx_at, rx_at, table_hat)
+            return self._convolve(x, tx_at, rx_at, table_hat, out)
         y = np.empty((self.n_rows,) + x.shape[1:], dtype=complex)
         spans = self._spans()
         for (lo, hi), part in zip(spans, ordered_map(
                 lambda span: self.row_block(*span) @ x, spans, self.threads)):
             y[lo:hi] = part
-        return y
+        if out is None:
+            return y
+        out[...] = y
+        return out
 
-    def adjoint_apply(self, y: np.ndarray) -> np.ndarray:
-        """x = H^H y (exact conjugate-transpose action)."""
+    def adjoint_apply(self, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """x = H^H y (exact conjugate-transpose action); ``out`` as for apply."""
         y = np.asarray(y)
-        if y.shape[0] != self.n_rows:
-            raise ValueError(f"expected leading dimension {self.n_rows}, got {y.shape[0]}")
+        self._check(y, self.n_rows, self.n_cols, out)
         if self._lattice_table is not None:
             tx_at, rx_at, table_hat, _ = self._lattice_table
-            return self._convolve(y, rx_at, tx_at, table_hat.conj())
-        out = np.zeros((self.n_cols,) + y.shape[1:], dtype=complex)
+            return self._convolve(y, rx_at, tx_at, table_hat.conj(), out)
+        x = np.zeros((self.n_cols,) + y.shape[1:], dtype=complex)
         for part in ordered_map(  # span order keeps the sum reproducible
                 lambda span: self.row_block(*span).conj().T @ y[span[0]:span[1]],
                 self._spans(), self.threads):
-            out += part
+            x += part
+        if out is None:
+            return x
+        out[...] = x
         return out
 
     def dense(self, cap: int = DENSE_CAP_ENTRIES) -> np.ndarray:

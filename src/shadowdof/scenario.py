@@ -11,6 +11,7 @@ everything the CLI writes to disk.
 from __future__ import annotations
 
 import dataclasses
+import logging
 import math
 import numbers
 import time
@@ -42,6 +43,12 @@ from .spectra import dense_entries, dense_spectrum, randomized_spectrum
 
 __all__ = ["FarFieldSpec", "ScenarioConfig", "load_scenario", "validate", "run_scenario",
            "shadow_summary"]
+
+log = logging.getLogger(__name__)
+
+# Criterion 7's tolerance on the relative error of a sketch's top N_a zeta values:
+# a run whose bound (``SpectrumResult.zeta_error_bound``) exceeds it warns.
+_ZETA_ERROR_WARN = 1e-2
 
 
 def _check_count(name: str, value, least: int) -> None:
@@ -379,7 +386,9 @@ def run_scenario(config: ScenarioConfig, threads: int = 1):
 
     With zero shadow (empty coverage or disjoint shadows everywhere) no
     channel is built and the spectrum is None.  A bad ``threads`` raises
-    ValueError before any stage runs.
+    ValueError before any stage runs.  A sketch whose ``zeta_error_bound``
+    exceeds criterion 7's 1e-2 logs a warning (stderr without other logging
+    set up).
     """
     threads = thread_count(threads)
     t0 = time.perf_counter()
@@ -403,6 +412,11 @@ def run_scenario(config: ScenarioConfig, threads: int = 1):
                     "captured_energy": spec.captured_energy,
                     "zeta_error_bound": spec.zeta_error_bound(round(summary["n_a"])),
                     "values_below_floor": spec.values_below_floor})
+    if (summary["zeta_error_bound"] or 0.0) > _ZETA_ERROR_WARN:
+        log.warning("%s: the sketch captured %.6g of ||H||_F^2, so its top %d zeta values "
+                    "may be off by %.3g relative (above %g); raise p_factor or power_iters",
+                    config.name, spec.captured_energy, round(summary["n_a"]),
+                    summary["zeta_error_bound"], _ZETA_ERROR_WARN)
     return summary, msr, spec
 
 

@@ -57,6 +57,9 @@ from .errors import AllZeroSpectrumError, TooLargeForDenseError
 # 3.8-4.2 s with 64 and 6.9-7.1 s with 1024.
 _BLOCK_SPAN = 256
 
+# Real normals per chunk of the sketch's test-matrix draw (1 MB).
+_DRAW_ENTRIES = 2**17
+
 # The Gram eigensolve's absolute accuracy floor over sigma_1 (module docstring):
 # values below it are rounding noise.
 NOISE_FLOOR = 1e-13
@@ -269,13 +272,18 @@ def randomized_spectrum(h, p: int, seed: int, power_iters: int = 1) -> SpectrumR
     of the P-wide side), so the sketch shares the dense route's 1e-13
     sigma_1 floor; its tail is approximate in any case.
 
-    Each N x P matrix is dropped once the next exists and each basis is
-    taken in place, so the sketch holds about two of them at a time.
-    ``SpectrumResult.timings`` gives the seconds spent in operator passes
-    (``passes_s``), in the power steps' LU factorizations (``lu_s``) and in
-    the final QR (``qr_s``).  On the lattice route ``captured_energy`` is
-    sum(sigma) / ||H||_F^2, with ||H||_F^2 exact from the operator's offset
-    table (``ChannelOperator.lattice_frobenius_sq``); it is None otherwise.
+    The sketch holds one N x P matrix: a flat buffer of max(N_T, N_R) P
+    entries, whose first N_T P or N_R P entries are every matrix in turn as
+    a Fortran-order view.  A is drawn into it in row chunks, all real parts
+    and then all imaginary parts, the values of two whole-matrix draws bit
+    for bit since Philox is sequential.  Each pass writes its output over
+    its input (``ChannelOperator.apply`` with ``out``), and each basis is
+    taken in place.  ``SpectrumResult.timings`` gives the seconds spent in
+    operator passes (``passes_s``), in the power steps' LU factorizations
+    (``lu_s``) and in the final QR (``qr_s``).  On the lattice route
+    ``captured_energy`` is sum(sigma) / ||H||_F^2, with ||H||_F^2 exact from
+    the operator's offset table (``ChannelOperator.lattice_frobenius_sq``);
+    it is None otherwise.
     """
     n_rows, n_cols = (h.shape if isinstance(h, ChannelOperator) else np.asarray(h).shape)
     if not 0 < p <= min(n_rows, n_cols):
@@ -288,29 +296,40 @@ def randomized_spectrum(h, p: int, seed: int, power_iters: int = 1) -> SpectrumR
         timings[key] += time.perf_counter() - t0
         return out
 
+    buf = np.empty(max(n_rows, n_cols) * p, dtype=complex)
+
+    def view(n):
+        return buf[:n * p].reshape((n, p), order="F")
+
     def mul(x):
-        return h.apply(x) if isinstance(h, ChannelOperator) else h @ x
+        out = view(n_rows)
+        if isinstance(h, ChannelOperator):
+            return h.apply(x, out=out)
+        out[...] = h @ x
+        return out
 
     def mul_h(y):
-        return h.adjoint_apply(y) if isinstance(h, ChannelOperator) else h.conj().T @ y
+        out = view(n_cols)
+        if isinstance(h, ChannelOperator):
+            return h.adjoint_apply(y, out=out)
+        out[...] = h.conj().T @ y
+        return out
 
     rng = np.random.Generator(np.random.Philox(seed))
-    # (re + 1j im) / sqrt(2) bit for bit, holding one real draw at a time
-    a = np.empty((n_cols, p), dtype=complex)
-    a.real = rng.standard_normal((n_cols, p))
-    a.imag = rng.standard_normal((n_cols, p))
+    # (re + 1j im) / sqrt(2) bit for bit, one real chunk of rows at a time
+    a = view(n_cols)
+    rows = max(1, _DRAW_ENTRIES // p)
+    for part in (a.real, a.imag):
+        for lo in range(0, n_cols, rows):
+            part[lo:lo + rows] = rng.standard_normal((min(rows, n_cols - lo), p))
     a /= math.sqrt(2)
     y = timed("passes_s", mul, a)
-    del a
     for i in range(power_iters + 1):
         # a power step's basis need only span Y; Rayleigh-Ritz needs the last orthonormal
         w = timed("lu_s", _lu_basis, y) if i < power_iters else timed("qr_s", _basis, y)
-        del y
         x = timed("passes_s", mul_h, w)  # H^H W: a power step's input, or B^H at the end
-        del w
         if i < power_iters:
             y = timed("passes_s", mul, x)
-            del x
     spec = dense_spectrum(x)
     frobenius_sq = h.lattice_frobenius_sq if isinstance(h, ChannelOperator) else None
     return dataclasses.replace(

@@ -431,6 +431,45 @@ def test_lattice_passes_do_not_depend_on_chunk_width(name, monkeypatch):
         assert hy.tobytes() == passes[0][1].tobytes()
 
 
+@pytest.mark.parametrize("sides", [(1.0, 0.6), (1.0, 1.0), (0.6, 1.0), None],
+                         ids=["nr-below-nt", "nr-equals-nt", "nr-above-nt", "rows"])
+def test_passes_in_place_match_out_of_place(sides, monkeypatch):
+    # out over the input, as in the sketch's buffer: Fortran-order views from one
+    # address.  One column per chunk at two threads keeps four chunks in flight
+    # (441 and 169 points, a 36 x 36 grid: 101 columns per chunk by default)
+    rng = np.random.default_rng(12)
+    p = 250
+    default = channel._FFT_CHUNK_ENTRIES
+    for entries, threads in ((default, 1), (1, 1), (default, 2), (1, 2)):
+        monkeypatch.setattr(channel, "_FFT_CHUNK_ENTRIES", entries)
+        if sides is None:
+            op1 = _fallback_random()
+            op = ChannelOperator(op1.kind, op1.k, op1.tx, op1.rx, threads=threads)
+        else:
+            op = assemble_channel(_plate_samples([0, 0, 0], _H, side=sides[0]),
+                                  _plate_samples([0, 0, 1], _H, side=sides[1]), _K,
+                                  threads=threads)
+        assert op.route == ("rows" if sides is None else "lattice")
+        buf = np.empty((max(op.shape) + 1) * p, dtype=complex)
+        for fn, n_in, n_out in ((op.apply, op.n_cols, op.n_rows),
+                                (op.adjoint_apply, op.n_rows, op.n_cols)):
+            v = rng.standard_normal((n_in, p)) + 1j * rng.standard_normal((n_in, p))
+            for start, width in ((0, p), (1, p), (0, 1)):  # a shifted out overlaps otherwise
+                shape = (n_in, p) if width == p else (n_in,)
+                want = fn(v[:, :width].reshape(shape))
+                src = buf[:n_in * width].reshape(shape, order="F")
+                src[...] = v[:, :width].reshape(shape)
+                kept = src.copy()
+                assert np.array_equal(fn(src), want)
+                assert np.array_equal(src, kept)  # without out the input is untouched
+                out = buf[start:start + n_out * width].reshape(want.shape, order="F")
+                got = fn(src, out=out)
+                assert got is out
+                assert got.tobytes() == want.tobytes()
+            with pytest.raises(ValueError, match="out"):
+                fn(v, out=np.empty((n_out + 1, p), dtype=complex))
+
+
 def test_lattice_route_at_published_scale():
     # shifted plates at the spacing of N_a = 500 (141 x 141 points each, offsets
     # up to 140 steps, kR up to about 260): the sampler's own steps keep the

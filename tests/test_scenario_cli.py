@@ -566,6 +566,24 @@ def test_sketch_zeta_error_bound_matches_the_benchmark_oracle(monkeypatch):
     assert summary["zeta_error_bound"] == pytest.approx(bound, rel=1e-6, abs=0)
 
 
+@pytest.mark.parametrize("p_factor,warns", [(1.02, True), (3.0, False)])
+def test_sketch_with_too_few_columns_warns(p_factor, warns, caplog):
+    # N_a = 50 at P = 51 and no power step captures 0.968 of ||H||_F^2: the bound
+    # on the top 50 zeta values reads 3.96, above criterion 7's 1e-2; at P = 150
+    # it reads 1.5e-14
+    config = dataclasses.replace(load_scenario(TWO_LINES_YAML), method="randomized",
+                                 p_factor=p_factor, power_iters=0)
+    with caplog.at_level("WARNING", logger="shadowdof.scenario"):
+        summary, _, _ = run_scenario(config)
+    assert (summary["zeta_error_bound"] > 1e-2) is warns
+    records = [r for r in caplog.records if r.name == "shadowdof.scenario"]
+    assert len(records) == int(warns)
+    if warns:
+        assert records[0].levelname == "WARNING"
+        assert "test-lines" in records[0].getMessage()
+        assert "p_factor" in records[0].getMessage()
+
+
 def test_cli_rerun_byte_identical(tmp_path):
     cfg = tmp_path / "lines.yaml"
     cfg.write_text(TWO_LINES_YAML)
