@@ -401,10 +401,10 @@ class ChannelOperator:
     kernel and for polarized ports, one per Cartesian dipole orientation; a
     point receiver has as many rows per point as a source has columns).
     Each kind has one block kernel, chosen here, that ``row_block`` slices
-    and calls.  dense and frobenius_norm walk row spans, each at most 512
-    rows and 2**21 entries, through ``ordered_map`` (a pool of ``threads``,
-    the operator's only threading) in span order, so no dense storage is
-    required and results do not depend on the thread count.
+    and calls.  ``k`` must be finite and positive.  dense walks row spans,
+    each at most 512 rows and 2**21 entries, through ``ordered_map`` (a pool
+    of ``threads``, the operator's only threading) in span order, so results
+    do not depend on the thread count.
 
     ``route`` says how apply and adjoint_apply run; it is planned on the
     first of the three, so operators that only give row blocks (dense
@@ -432,6 +432,8 @@ class ChannelOperator:
             raise TypeError("transmit samples must be a SampleSet")
         self.kind = kind
         self.k = float(k)
+        if not 0.0 < self.k < math.inf:
+            raise ValueError(f"wavenumber must be finite and positive, got {k}")
         self.tx = tx
         self.threads = thread_count(threads)
         polarized = False
@@ -613,7 +615,7 @@ class ChannelOperator:
         """
         cols = x.reshape(x.shape[0], -1)
         n_dst, n = dst_at.shape[0], cols.shape[1]
-        if out is None or out.ndim > 2:  # a C-order reshape of a 3-D out would copy it
+        if out is None:
             dest = np.empty((n_dst, n), dtype=complex, order="F")
         else:
             dest = out.reshape(n_dst, n)
@@ -641,11 +643,7 @@ class ChannelOperator:
             starts = starts[::-1]
         for lo, part in zip(starts, ordered_map(chunk, starts, self.threads)):
             dest[:, lo:lo + step] = part
-        if out is None:
-            return dest.reshape((n_dst,) + x.shape[1:])
-        if out.ndim > 2:
-            out[...] = dest.reshape(out.shape)
-        return out
+        return dest.reshape((n_dst,) + x.shape[1:]) if out is None else out
 
     @property
     def n_rows(self) -> int:
@@ -675,14 +673,14 @@ class ChannelOperator:
         return [(lo, min(lo + step, self.n_rows)) for lo in range(0, self.n_rows, step)]
 
     def _check(self, v: np.ndarray, rows: int, out_rows: int, out) -> None:
-        if v.shape[0] != rows:
-            raise ValueError(f"expected leading dimension {rows}, got {v.shape[0]}")
+        if v.ndim not in (1, 2) or v.shape[0] != rows:
+            raise ValueError(f"expected a vector or a matrix of {rows} rows, got shape {v.shape}")
         if out is not None and (out.shape != (out_rows,) + v.shape[1:]
                                 or out.dtype != complex):
             raise ValueError(f"out must be a complex array of shape {(out_rows,) + v.shape[1:]}")
 
     def apply(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """y = H x for a vector or a stack of column vectors.
+        """y = H x for a vector or a matrix of columns; any other operand raises ValueError.
 
         With ``out`` (complex, the result's shape) the result is written there
         and returned; out may share memory with x.  On the lattice route each
@@ -706,7 +704,7 @@ class ChannelOperator:
         return out
 
     def adjoint_apply(self, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """x = H^H y (exact conjugate-transpose action); ``out`` as for apply."""
+        """x = H^H y for a vector or a matrix of columns; operand and ``out`` as for apply."""
         y = np.asarray(y)
         self._check(y, self.n_rows, self.n_cols, out)
         if self._lattice_table is not None:
@@ -722,22 +720,17 @@ class ChannelOperator:
         out[...] = x
         return out
 
-    def dense(self, cap: int = DENSE_CAP_ENTRIES) -> np.ndarray:
-        """Materialize the matrix; refuses above the entry cap."""
-        if self.n_rows * self.n_cols > cap:
-            raise TooLargeForDenseError(
-                f"{self.n_rows} x {self.n_cols} exceeds the dense cap of {cap} entries")
+    def dense(self) -> np.ndarray:
+        """Materialize the matrix; refuses above ``DENSE_CAP_ENTRIES`` entries."""
+        if self.n_rows * self.n_cols > DENSE_CAP_ENTRIES:
+            raise TooLargeForDenseError(f"{self.n_rows} x {self.n_cols} exceeds the dense cap "
+                                        f"of {DENSE_CAP_ENTRIES} entries")
         out = np.empty(self.shape, dtype=complex)
         spans = self._spans()
         for (lo, hi), block in zip(spans, ordered_map(lambda span: self.row_block(*span),
                                                       spans, self.threads)):
             out[lo:hi] = block
         return out
-
-    def frobenius_norm(self) -> float:
-        return math.sqrt(math.fsum(ordered_map(
-            lambda span: float(np.sum(np.abs(self.row_block(*span)) ** 2)), self._spans(),
-            self.threads)))
 
 
 def assemble_channel(tx: SampleSet, receiver, k: float, kind: str | None = None,
@@ -748,8 +741,6 @@ def assemble_channel(tx: SampleSet, receiver, k: float, kind: str | None = None,
     function) or a list of FarFieldPort.  Transmit and receive point sets
     must be at least one sampling spacing apart.
     """
-    if k <= 0:
-        raise ValueError("wavenumber must be positive")
     if isinstance(receiver, SampleSet):
         if receiver.dimension != tx.dimension:
             raise ValueError("transmit and receive samples must share the dimension")

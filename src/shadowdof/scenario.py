@@ -388,7 +388,8 @@ def run_scenario(config: ScenarioConfig, threads: int = 1):
     channel is built and the spectrum is None.  A bad ``threads`` raises
     ValueError before any stage runs.  A sketch whose ``zeta_error_bound``
     exceeds criterion 7's 1e-2 logs a warning (stderr without other logging
-    set up).
+    set up), and so does a sketch of fewer than round(N_a) values, which has
+    no bound.
     """
     threads = thread_count(threads)
     t0 = time.perf_counter()
@@ -407,16 +408,21 @@ def run_scenario(config: ScenarioConfig, threads: int = 1):
     spec = compute_spectrum(config, op, summary["n_a"])
     timings["spectrum_s"] = time.perf_counter() - t2
     timings.update(spec.timings or {})  # a sketch's passes_s, lu_s and qr_s, parts of spectrum_s
+    n_top = round(summary["n_a"])
     summary.update({"n_e": spec.n_effective, "n_k": spec.n_knee, "method": spec.method,
                     "route": spec.route, "n_t": op.n_cols, "n_r": op.n_rows,
                     "captured_energy": spec.captured_energy,
-                    "zeta_error_bound": spec.zeta_error_bound(round(summary["n_a"])),
+                    "zeta_error_bound": spec.zeta_error_bound(n_top),
                     "values_below_floor": spec.values_below_floor})
     if (summary["zeta_error_bound"] or 0.0) > _ZETA_ERROR_WARN:
         log.warning("%s: the sketch captured %.6g of ||H||_F^2, so its top %d zeta values "
                     "may be off by %.3g relative (above %g); raise p_factor or power_iters",
-                    config.name, spec.captured_energy, round(summary["n_a"]),
+                    config.name, spec.captured_energy, n_top,
                     summary["zeta_error_bound"], _ZETA_ERROR_WARN)
+    elif spec.method.startswith("randomized") and spec.sigma.shape[0] < n_top:
+        log.warning("%s: the sketch has %d values, fewer than N_a = %d, so its spectrum "
+                    "misses modes and carries no error bound; raise p_factor",
+                    config.name, spec.sigma.shape[0], n_top)
     return summary, msr, spec
 
 

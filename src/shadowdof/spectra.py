@@ -188,7 +188,7 @@ def _blocks(h):
             for lo in range(0, n_rows, _BLOCK_SPAN))
 
 
-def dense_spectrum(h, cap: int = DENSE_CAP_ENTRIES) -> SpectrumResult:
+def dense_spectrum(h) -> SpectrumResult:
     """Exact spectrum of a channel operator or matrix from the smaller side's Gram matrix.
 
     With m = min(N_R, N_T), the Gram matrix G is H H^H (N_R <= N_T) or
@@ -198,17 +198,17 @@ def dense_spectrum(h, cap: int = DENSE_CAP_ENTRIES) -> SpectrumResult:
     Otherwise G = sum B B^H accumulates over column blocks B, or sum B^H B
     over row blocks, in a fixed block order (route ``"rows"``).  H is never
     materialized: the route holds m**2 entries plus one block of m x 256
-    and refuses above ``cap`` of them (``dense_entries``).  Values below
+    and refuses above ``DENSE_CAP_ENTRIES`` of them (``dense_entries``).  Values below
     about 1e-13 sigma_1 are rounding noise; negative ones are reported as 0.
     """
     if not isinstance(h, ChannelOperator):
         h = np.asarray(h)
     n_rows, n_cols = h.shape
     entries = dense_entries(n_rows, n_cols)
-    if entries > cap:
+    if entries > DENSE_CAP_ENTRIES:
         raise TooLargeForDenseError(
             f"{n_rows} x {n_cols} needs {entries} Gram and block entries, "
-            f"above the dense cap of {cap}")
+            f"above the dense cap of {DENSE_CAP_ENTRIES}")
     wide = n_rows <= n_cols
     gram = h.port_gram() if wide and isinstance(h, ChannelOperator) else None
     route = "rows" if gram is None else "lattice"

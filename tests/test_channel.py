@@ -285,7 +285,7 @@ def test_adjoint_consistency():
     rng = np.random.default_rng(3)
     for op in (_small_channel("scalar2d"), _small_channel_farfield()):
         n_r, n_t = op.shape
-        h_norm = op.frobenius_norm()
+        h_norm = np.linalg.norm(op.dense())
         for _ in range(20):
             x = rng.standard_normal(n_t) + 1j * rng.standard_normal(n_t)
             y = rng.standard_normal(n_r) + 1j * rng.standard_normal(n_r)
@@ -327,7 +327,6 @@ def test_threaded_apply_identical(monkeypatch):
         y = rng.standard_normal(op1.n_rows) + 1j * rng.standard_normal(op1.n_rows)
         assert np.array_equal(op1.adjoint_apply(y), opn.adjoint_apply(y))
         assert np.array_equal(op1.dense(), opn.dense())
-        assert op1.frobenius_norm() == opn.frobenius_norm()
     for threads in (0, -3, 2.5, True):
         with pytest.raises(ValueError, match="threads"):
             ChannelOperator(op1.kind, op1.k, op1.tx, op1.rx, threads=threads)
@@ -350,10 +349,9 @@ def test_row_spans_bounded(monkeypatch):
     x = rng.standard_normal(op.n_cols) + 1j * rng.standard_normal(op.n_cols)
     y = rng.standard_normal(op.n_rows) + 1j * rng.standard_normal(op.n_rows)
     hx, hy = op.apply(x), op.adjoint_apply(y)
-    op.frobenius_norm()
     dense = op.dense()
     assert sizes and max(sizes) <= 2**21
-    assert sum(sizes) == 4 * op.n_rows * op.n_cols
+    assert sum(sizes) == 3 * op.n_rows * op.n_cols
     assert np.allclose(hx, dense @ x, rtol=1e-12, atol=0)
     assert np.allclose(hy, dense.conj().T @ y, rtol=1e-12, atol=0)
 
@@ -468,6 +466,10 @@ def test_passes_in_place_match_out_of_place(sides, monkeypatch):
                 assert got.tobytes() == want.tobytes()
             with pytest.raises(ValueError, match="out"):
                 fn(v, out=np.empty((n_out + 1, p), dtype=complex))
+            # one contract on both routes: a vector or a matrix of columns
+            for out in (None, np.empty((n_out, 2, 3), dtype=complex)):
+                with pytest.raises(ValueError, match="a vector or a matrix"):
+                    fn(v[:, :6].reshape(n_in, 2, 3), out=out)
 
 
 def test_lattice_route_at_published_scale():
@@ -584,7 +586,6 @@ def test_lattice_table_built_on_first_apply():
     # dense spectra read row blocks only, so they never plan or build the table
     op = _small_channel()
     op.dense()
-    op.frobenius_norm()
     assert "_lattice_table" not in vars(op)
     assert op.route == "lattice"
     table = vars(op)["_lattice_table"]
@@ -598,8 +599,18 @@ def test_lattice_frobenius_from_the_offset_table():
     op = assemble_channel(_plate_samples([0, 0, 0], _H),
                           _plate_samples([0.3, 0.2, 1], _H, side=0.6), _K)
     assert op.route == "lattice"
-    assert op.lattice_frobenius_sq == pytest.approx(op.frobenius_norm() ** 2, rel=1e-12, abs=0)
+    assert op.lattice_frobenius_sq == pytest.approx(np.linalg.norm(op.dense()) ** 2, rel=1e-12,
+                                                    abs=0)
     assert _fallback_random().lattice_frobenius_sq is None
+
+
+@pytest.mark.parametrize("k", [0.0, -3.0, math.nan, math.inf])
+def test_wavenumber_must_be_finite_and_positive(k):
+    tx, rx = SampleSet([[0.0, 0.0]], 1.0), SampleSet([[0.0, 2.0]], 1.0)
+    with pytest.raises(ValueError, match="wavenumber"):
+        ChannelOperator("scalar2d", k, tx, rx)
+    with pytest.raises(ValueError, match="wavenumber"):
+        assemble_channel(tx, rx, k)
 
 
 def test_regions_too_close():
@@ -633,7 +644,7 @@ def test_farfield_norm_rotation_invariant():
     rot = np.array([[math.cos(ang), -math.sin(ang)], [math.sin(ang), math.cos(ang)]])
     op_rot = ChannelOperator("farfield2d", k, SampleSet(op.tx.points @ rot.T, op.tx.spacing),
                              op.ports)
-    assert op.frobenius_norm() == pytest.approx(op_rot.frobenius_norm(), rel=1e-8)
+    assert np.linalg.norm(op.dense()) == pytest.approx(np.linalg.norm(op_rot.dense()), rel=1e-8)
 
 
 def test_farfield_em_ports():
@@ -653,7 +664,8 @@ def test_farfield_em_ports():
     y = rng.standard_normal(op.n_rows) + 1j * rng.standard_normal(op.n_rows)
     lhs = np.vdot(y, op.apply(x))
     rhs = np.vdot(op.adjoint_apply(y), x)
-    assert abs(lhs - rhs) / (np.linalg.norm(x) * np.linalg.norm(y) * op.frobenius_norm()) < 1e-10
+    h_norm = np.linalg.norm(op.dense())
+    assert abs(lhs - rhs) / (np.linalg.norm(x) * np.linalg.norm(y) * h_norm) < 1e-10
 
 
 @pytest.mark.parametrize("case", ["2d", "3d", "3d polarized"])
@@ -715,10 +727,14 @@ def test_row_block_source_span():
             assert np.allclose(block, dense[lo:hi, width * s_lo:width * s_hi], rtol=1e-14, atol=0)
 
 
-def test_dense_cap():
+def test_dense_cap(monkeypatch):
     op = _small_channel()
+    entries = op.n_rows * op.n_cols
+    monkeypatch.setattr(channel, "DENSE_CAP_ENTRIES", entries)
+    assert op.dense().shape == op.shape
+    monkeypatch.setattr(channel, "DENSE_CAP_ENTRIES", entries - 1)
     with pytest.raises(TooLargeForDenseError):
-        op.dense(cap=4)
+        op.dense()
 
 
 def test_mesh_region_per_triangle_sampling():
@@ -744,4 +760,4 @@ def test_farfield_3d_norm_rotation_invariant():
     from shadowdof.channel import SampleSet
 
     op_rot = assemble_channel(SampleSet(tx.points @ rot.T, tx.spacing), ports, k)
-    assert op.frobenius_norm() == pytest.approx(op_rot.frobenius_norm(), rel=1e-8)
+    assert np.linalg.norm(op.dense()) == pytest.approx(np.linalg.norm(op_rot.dense()), rel=1e-8)

@@ -566,16 +566,19 @@ def test_sketch_zeta_error_bound_matches_the_benchmark_oracle(monkeypatch):
     assert summary["zeta_error_bound"] == pytest.approx(bound, rel=1e-6, abs=0)
 
 
-@pytest.mark.parametrize("p_factor,warns", [(1.02, True), (3.0, False)])
+@pytest.mark.parametrize("p_factor,warns", [(0.5, True), (1.02, True), (3.0, False)])
 def test_sketch_with_too_few_columns_warns(p_factor, warns, caplog):
     # N_a = 50 at P = 51 and no power step captures 0.968 of ||H||_F^2: the bound
     # on the top 50 zeta values reads 3.96, above criterion 7's 1e-2; at P = 150
-    # it reads 1.5e-14
+    # it reads 1.5e-14.  At P = 25 (captured 0.492) there is no 50th value, so
+    # no bound, and the sketch warns for its size
     config = dataclasses.replace(load_scenario(TWO_LINES_YAML), method="randomized",
                                  p_factor=p_factor, power_iters=0)
     with caplog.at_level("WARNING", logger="shadowdof.scenario"):
-        summary, _, _ = run_scenario(config)
-    assert (summary["zeta_error_bound"] > 1e-2) is warns
+        summary, _, spec = run_scenario(config)
+    bound = summary["zeta_error_bound"]
+    assert (bound is None) is (spec.sigma.shape[0] < 50)
+    assert (bound is None or bound > 1e-2) is warns
     records = [r for r in caplog.records if r.name == "shadowdof.scenario"]
     assert len(records) == int(warns)
     if warns:

@@ -243,11 +243,13 @@ def test_gram_route_cap_counts_gram_and_block(monkeypatch):
     n_rows, n_cols = op.shape
     entries = dense_entries(n_rows, n_cols)
     assert entries == n_rows**2 + 7 * n_rows < n_rows * n_cols
-    assert dense_spectrum(op, cap=entries).sigma.shape[0] == n_rows
+    monkeypatch.setattr(spectra, "DENSE_CAP_ENTRIES", entries)
+    assert dense_spectrum(op).sigma.shape[0] == n_rows
+    monkeypatch.setattr(spectra, "DENSE_CAP_ENTRIES", entries - 1)
     with pytest.raises(TooLargeForDenseError):
-        dense_spectrum(op, cap=entries - 1)
+        dense_spectrum(op)
     with pytest.raises(TooLargeForDenseError):
-        dense_spectrum(op.dense(), cap=entries - 1)
+        dense_spectrum(op.dense())
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +362,7 @@ def test_lu_power_step_matches_householder(name, monkeypatch):
         assert np.max(np.abs(lu.sigma - ref.sigma)) <= 1e-14 * ref.sigma[0]
         assert lu.n_knee == ref.n_knee
     if name == "lattice":  # the only route with ||H||_F^2 from the offset table
-        expected = math.fsum(lu.sigma) / h.frobenius_norm() ** 2
+        expected = math.fsum(lu.sigma) / np.linalg.norm(h.dense()) ** 2
         assert lu.captured_energy == pytest.approx(expected, rel=1e-12, abs=0)
     else:
         assert lu.captured_energy is None

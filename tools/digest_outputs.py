@@ -1,0 +1,62 @@
+"""SHA-256 digests of every CSV the bundled scenarios and figures produce.
+
+    python3 tools/digest_outputs.py [--threads N]
+
+Run it from the root of a checkout; the program is imported from ./src.
+It runs ``spectrum`` and ``capacity --modes`` on each ``scenarios/*.yaml``
+and ``reproduce`` on every figure at its defaults, all at ``--threads N``
+(default 1) and one BLAS thread, into a temporary directory.  It prints one
+``sha256  path`` line per CSV, sorted by path, so comparing two checkouts is
+a ``diff`` of their outputs.  The exit code is 1 if any command failed.
+"""
+
+import os
+
+# One BLAS/OpenMP thread, so the bits do not depend on the machine's cores.
+# Set before numpy loads.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse  # noqa: E402
+import hashlib  # noqa: E402
+import sys  # noqa: E402
+import tempfile  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+
+def _commands(out: Path, threads: int, cli) -> list[list[str]]:
+    common = ["--threads", str(threads)]
+    runs = []
+    for config in sorted(Path("scenarios").glob("*.yaml")):
+        for command, extra in (("spectrum", []), ("capacity", ["--modes"])):
+            runs.append([command, "--config", str(config),
+                         "--out", str(out / command / config.stem), *extra, *common])
+    runs += [["reproduce", figure, "--out", str(out / "reproduce"), *common]
+             for figure in cli.FIGURE_IDS]
+    return runs
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description="digests of every bundled CSV output")
+    parser.add_argument("--threads", type=int, default=1)
+    args = parser.parse_args(argv)
+    if not Path("src/shadowdof/__init__.py").is_file():
+        sys.exit("digest_outputs: no src/shadowdof here; run from the root of a checkout")
+    sys.path.insert(0, str(Path("src").resolve()))
+    from shadowdof import cli
+
+    failed = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        for command in _commands(out, args.threads, cli):
+            if cli.main(command) != 0:
+                print(f"digest_outputs: failed: {' '.join(command)}", file=sys.stderr)
+                failed += 1
+        for path in sorted(out.rglob("*.csv")):
+            digest = hashlib.sha256(path.read_bytes()).hexdigest()
+            print(f"{digest}  {path.relative_to(out).as_posix()}")
+    return int(failed > 0)
+
+
+if __name__ == "__main__":
+    sys.exit(main())
