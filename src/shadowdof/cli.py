@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import itertools
 import json
 import math
@@ -296,6 +297,7 @@ def reproduce(figure_id: str, out_dir, na_list=None, threads: int = 1,
 # Entry point
 
 
+@functools.cache  # one parser per process; each parse_args call fills a fresh namespace
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="shadowdof",

@@ -353,19 +353,14 @@ class Rings(NamedTuple):
         count = np.array([0 if p.is_empty else p.vertices.shape[0] for p in polys])
         xy = np.zeros((len(polys), max(int(count.max()), 1), 2))
         for row, (p, c) in enumerate(zip(polys, count)):
-            xy[row, :c] = p.vertices[:c]
-        return _padded(xy, count)
+            if c:
+                xy[row, :c] = p.vertices
+                xy[row, c:] = p.vertices[-1]
+        return cls(xy, count)
 
     def polygon(self) -> ShadowPolygon:
         """The first row as a ShadowPolygon."""
         return ShadowPolygon(self.xy[0, :self.count[0]])
-
-
-def _padded(xy: np.ndarray, count: np.ndarray) -> Rings:
-    """Rings from the first ``count`` vertices of each row, trimmed to the widest."""
-    width = max(int(count.max()), 1)
-    idx = np.minimum(np.arange(width), np.maximum(count - 1, 0)[:, None])
-    return Rings(np.take_along_axis(xy, idx[..., None], axis=1), count)
 
 
 def ring_areas(xy: np.ndarray) -> np.ndarray:
@@ -411,6 +406,16 @@ def project_shape_2d(shape, direction: Direction) -> ShadowInterval:
     return ShadowInterval(float(lo[0]), float(hi[0]))
 
 
+def _plane_coords(vertices: np.ndarray, bases: np.ndarray) -> np.ndarray:
+    """Coordinates (N, M, 2) of vertices (M, 3) in each plane basis (N, 3, 2).
+
+    Three multiply-adds in axis order: the sums einsum("mk,nkj->nmj") forms,
+    bit for bit, in fewer passes.
+    """
+    v, b = vertices[:, :, None], bases[:, None]
+    return v[:, 0] * b[:, :, 0] + v[:, 1] * b[:, :, 1] + v[:, 2] * b[:, :, 2]
+
+
 def project_rings(shape, bases: np.ndarray, n_arc: int = N_ARC_DEFAULT) -> Rings:
     """Convex shadow polygons of a 3D shape for a batch of plane bases (N, 3, 2)."""
     if isinstance(shape, Sphere):
@@ -420,14 +425,14 @@ def project_rings(shape, bases: np.ndarray, n_arc: int = N_ARC_DEFAULT) -> Rings
         return Rings(xy, np.full(bases.shape[0], n_arc))
     if isinstance(shape, PlanarPolygon):
         # projection of a convex ring stays a convex ring (up to orientation)
-        flat = np.einsum("mk,nkj->nmj", shape.vertices, bases)
+        flat = _plane_coords(shape.vertices, bases)
         area = ring_areas(flat)
         scale = np.maximum(np.abs(flat).max(axis=(1, 2)), 1.0)
         edge_on = np.abs(area) <= 1e-12 * scale * scale
         xy = np.where((area < 0)[:, None, None], flat[:, ::-1], flat)
         return Rings(xy, np.where(edge_on, 0, flat.shape[1]))
     if isinstance(shape, TriangleMesh):
-        flat = np.einsum("mk,nkj->nmj", shape.vertices, bases)
+        flat = _plane_coords(shape.vertices, bases)
         # Qhull has no batched call: one hull per direction
         return Rings.of([ShadowPolygon(convex_hull_2d(p)) for p in flat])
     raise TypeError(f"not a 3D shape: {type(shape).__name__}")
@@ -464,30 +469,51 @@ def interval_intersection(a: ShadowInterval, b: ShadowInterval) -> ShadowInterva
     return ShadowInterval(lo, hi)
 
 
-def _clip_edge(xy, count, p, q, eps) -> Rings:
-    """Keep the part of each ring left of its directed edge p -> q (N, 2)."""
-    n, width, _ = xy.shape
-    slot = np.arange(width)
-    nxt = np.where(slot + 1 < count[:, None], slot + 1, 0)
-    d = q - p
-    cr = d[:, :1] * (xy[..., 1] - p[:, 1:]) - d[:, 1:] * (xy[..., 0] - p[:, :1])
-    crn = np.take_along_axis(cr, nxt, axis=1)
-    eps = eps[:, None]
-    real = slot < count[:, None]
-    keep = real & (cr >= -eps)
-    cross = real & (((cr > eps) & (crn < -eps)) | ((cr < -eps) & (crn > eps)))
+def _clip_edge(z, count, p, d, eps) -> tuple[np.ndarray, np.ndarray]:
+    """Keep the part of each ring left of its edge from p along d (N, 2).
+
+    ``z`` (N, W) holds the vertices as x + iy, NaN past each row's count: a
+    NaN slot neither keeps nor crosses.  Returns the clipped vertices
+    (N, W + 2) in the same form and their counts.
+    """
+    n, width = z.shape
+    rows, last = np.arange(n), count - 1
+    x, y = z.real, z.imag
+    cr = d[:, :1] * (y - p[:, 1:]) - d[:, 1:] * (x - p[:, :1])
+    # cr of the next vertex, the last vertex closing onto the first
+    crn = np.concatenate((cr[:, 1:], cr[:, :1]), axis=1)
+    crn[rows, last] = cr[:, 0]
+    # slot 2i emits vertex i if kept, slot 2i + 1 the crossing of the edge after it
+    emit = np.empty((n, width, 2), dtype=bool)
+    np.greater_equal(cr, -eps, out=emit[..., 0])
+    np.logical_and(np.maximum(cr, crn) > eps, np.minimum(cr, crn) < -eps, out=emit[..., 1])
+    vals = np.empty((n, width, 2), dtype=complex)
+    vals[..., 0] = z
+    hit = vals[..., 1]  # the next vertex, then in place the crossing
+    hit[:, :-1] = z[:, 1:]
+    hit[:, -1] = z[:, 0]
+    hit[rows, last] = z[:, 0]
     with np.errstate(divide="ignore", invalid="ignore"):  # only crossings are used
-        t = (cr / (cr - crn))[..., None]
-        hit = xy + t * (np.take_along_axis(xy, nxt[..., None], axis=1) - xy)
-    # each vertex emits itself if kept, then the edge crossing after it
-    emitted = keep.astype(int) + cross
-    end = np.cumsum(emitted, axis=1)
-    rows = np.broadcast_to(np.arange(n)[:, None], (n, width))
-    out = np.zeros((n, width + 1, 2))
-    out[rows[keep], (end - emitted)[keep]] = xy[keep]
-    out[rows[cross], (end - 1)[cross]] = hit[cross]
-    new_count = end[:, -1]
-    return _padded(out, np.where(new_count >= 3, new_count, 0))
+        t = cr - crn
+        np.divide(cr, t, out=t)
+        for part, v in ((hit.real, x), (hit.imag, y)):  # v + t (next - v)
+            part -= v
+            part *= t
+            part += v
+    del cr, crn, t
+    # one scatter: emitted slots in order to the front of their row, the rest
+    # to the row's spare last slot
+    dest = np.cumsum(emit.ravel()).reshape(n, width, 2)
+    before = np.concatenate(([0], dest[:-1, -1, 1]))
+    new_count = dest[:, -1, 1] - before
+    if new_count.max(initial=0) > width + 1:  # a convex ring gains at most one vertex
+        raise ValueError("clipped ring is not convex")
+    stride = width + 2
+    base = (rows * stride)[:, None, None]
+    dest = np.where(emit, dest + (base - 1 - before[:, None, None]), base + stride - 1)
+    out = np.full(n * stride, complex(np.nan, np.nan))
+    out[dest] = vals
+    return out.reshape(n, stride), new_count
 
 
 def clip_rings(a: Rings, b: Rings) -> tuple[Rings, np.ndarray]:
@@ -500,17 +526,36 @@ def clip_rings(a: Rings, b: Rings) -> tuple[Rings, np.ndarray]:
     scale = np.maximum(np.maximum(np.abs(a.xy).max(axis=(1, 2)),
                                   np.abs(b.xy).max(axis=(1, 2))), 1.0)
     eps = 1e-12 * scale * scale
-    out = Rings(a.xy, np.where(b.count > 0, a.count, 0))
-    rows = np.arange(b.xy.shape[0])
-    for k in range(b.xy.shape[1]):
-        if not out.count.any():
-            break
+    # only the rows still alive go on to the next edge
+    live = np.flatnonzero((a.count > 0) & (b.count > 0))
+    count, tol = a.count[live], eps[live, None]
+    z = a.xy[live].view(complex)[..., 0]
+    z[np.arange(z.shape[1]) >= count[:, None]] = complex(np.nan, np.nan)
+    for k in range(int(b.count[live].max(initial=0))):
         # edge k -> k+1 of b, closing at its last vertex; pad edges are no-ops
-        head = np.where(k + 1 < b.count, k + 1, np.where(k + 1 == b.count, 0, k))
-        out = _clip_edge(out.xy, out.count, b.xy[:, k], b.xy[rows, head], eps)
-    area = ring_areas(out.xy)
-    alive = (out.count > 0) & (area > eps)
-    return Rings(out.xy, np.where(alive, out.count, 0)), np.where(alive, area, 0.0)
+        n_b = b.count[live]
+        head = np.where(k + 1 < n_b, k + 1, np.where(k + 1 == n_b, 0, k))
+        p = b.xy[live, k]
+        z, count = _clip_edge(z, count, p, b.xy[live, head] - p, tol)
+        kept = count >= 3
+        if not kept.all():
+            live, count, z, tol = live[kept], count[kept], z[kept], tol[kept]
+            if not live.size:
+                break
+        z = z[:, :count.max()]
+    # pad each ring with copies of its last vertex, then scatter the rows back
+    width = z.shape[1] if live.size else 1
+    z = np.take_along_axis(z, np.minimum(np.arange(width), count[:, None] - 1), axis=1)
+    xy = z[..., None].view(float)
+    area = ring_areas(xy)
+    alive = area > tol[:, 0]
+    out = np.zeros((a.xy.shape[0], width, 2))
+    out[live] = xy
+    new_count = np.zeros_like(a.count)
+    new_count[live] = np.where(alive, count, 0)
+    areas = np.zeros(a.xy.shape[0])
+    areas[live] = np.where(alive, area, 0.0)
+    return Rings(out, new_count), areas
 
 
 def convex_polygon_intersection(a: ShadowPolygon, b: ShadowPolygon) -> ShadowPolygon:

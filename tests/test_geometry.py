@@ -190,6 +190,40 @@ def test_batched_clip_commutative_and_bounded(seed, n, scale, offset):
     assert np.all(ab <= np.minimum(ring_areas(a.xy), ring_areas(b.xy)) * (1 + 1e-12))
 
 
+def test_batched_clip_rows_match_one_row_clips():
+    # one batch mixing every kind of pair; rows die at different edges, so the
+    # batch shrinks to its live rows between edges
+    rng = np.random.default_rng(7)
+    tri = ShadowPolygon(np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0]]))
+    edge_on = ShadowPolygon(np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]))
+    hexagon = ShadowPolygon(random_convex_polygon(rng, 6, 1.0, center=(0.5, 0.5)))
+    pairs = [
+        (UNIT_SQUARE, square_at(0.0, 3.0)),  # disjoint: dies at the first edge
+        (UNIT_SQUARE, square_at(3.0, 0.0)),  # disjoint: dies at the last edge
+        (UNIT_SQUARE, square_at(1.0, 0.0)),  # touching along an edge
+        (UNIT_SQUARE, square_at(1.0, 1.0)),  # touching at a corner
+        (UNIT_SQUARE, square_at(0.25, 0.25, 0.5)),  # nested
+        (square_at(0.25, 0.25, 0.5), UNIT_SQUARE),  # nested, the other way
+        (UNIT_SQUARE, UNIT_SQUARE),  # identical
+        (edge_on, UNIT_SQUARE),  # edge-on: count 0
+        (UNIT_SQUARE, edge_on),
+        (UNIT_SQUARE, square_at(0.5, 0.3)),  # partly overlapping
+        (hexagon, tri),
+        (tri, square_at(0.4, -0.5)),
+        (hexagon, square_at(0.5, 0.5, 2.0)),
+    ]
+    a, b = Rings.of([p for p, _ in pairs]), Rings.of([q for _, q in pairs])
+    batch, areas = clip_rings(a, b)
+    assert (areas > 0).tolist() == [False] * 4 + [True] * 3 + [False] * 2 + [True] * 4
+    for row, (p, q) in enumerate(pairs):
+        one, one_area = clip_rings(Rings.of([p]), Rings.of([q]))
+        count = one.count[0]
+        assert batch.count[row] == count
+        assert np.array_equal(batch.xy[row, :count], one.xy[0, :count])
+        assert areas[row] == one_area[0]
+        assert areas[row] == (ring_areas(one.xy[0]) if count else 0.0)
+
+
 def polygon_union_area(polys):
     return float(union_area([Rings.of([p]) for p in polys])[0])
 

@@ -268,6 +268,21 @@ def test_cli_shadow_and_ndof(tmp_path):
     assert summary["n_a"] == pytest.approx(50.0, rel=1e-9)
 
 
+def test_cli_calls_in_one_process_parse_independently(tmp_path):
+    # the parser is built once per process; each call still starts from its defaults
+    assert cli._build_parser() is cli._build_parser()
+    cfg = tmp_path / "lines.yaml"
+    cfg.write_text(TWO_LINES_YAML)
+    assert main(["shadow", "--config", str(cfg), "--out", str(tmp_path / "s"), "--seed", "5",
+                 "--format", "json"]) == 0
+    assert main(["spectrum", "--config", str(cfg), "--out", str(tmp_path / "p")]) == 0
+    first = json.loads((tmp_path / "s" / "summary.json").read_text())
+    second = json.loads((tmp_path / "p" / "summary.json").read_text())
+    assert first["seed"] == 5
+    assert second["seed"] == 0 and second["method"] == "dense"
+    assert (tmp_path / "p" / "shadow.csv").exists() and not (tmp_path / "p" / "shadow.json").exists()
+
+
 def test_cli_capacity(tmp_path):
     cfg = tmp_path / "lines.yaml"
     cfg.write_text(TWO_LINES_YAML)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from shadowdof import shadow
 from shadowdof.errors import OrderingUndefinedError, PanelsTooCloseError, SpheresOverlapError
 from shadowdof.geometry import (
     ConvexPolygon,
@@ -190,6 +191,35 @@ def test_engine_totals_and_single_directions(case):
             assert _shadow_values(t, direction.angles)[0] == value
         else:
             assert mutual_shadow_direction(t, r, direction) == value
+
+
+BATCH_CASES = {**ENGINE_CASES, "lines-2d": (lambda: (*two_lines(1.0, 0.5, 0.7),
+                                                     {"n_directions": 1024}), None)}
+
+
+@pytest.mark.parametrize("case", list(BATCH_CASES))
+def test_values_bit_identical_across_batch_sizes(case, monkeypatch):
+    t, r, kwargs = BATCH_CASES[case][0]()
+    compute = (lambda: total_mutual_shadow(t, r, **kwargs)) if r is not None \
+        else (lambda: total_shadow(t, **kwargs))
+    reference = compute()
+    # the bytes of one direction's widest ring, as the engine sizes its batches
+    if r is None:
+        width = shadow._ring_width(t)
+    else:
+        width = 1 if shadow._sphere_pair(t, r) else shadow._ring_width(t, r)
+    name = "_mutual_values" if r is not None else "_shadow_values"
+    for directions in (1, 7, reference.n_directions):
+        batches = []
+        batch_values = getattr(shadow, name)
+        monkeypatch.setattr(shadow, name,
+                            lambda *a: batches.append(a[-1].shape[0]) or batch_values(*a))
+        monkeypatch.setattr(shadow, "_BATCH_BYTES", directions * 16 * width)
+        msr = compute()
+        monkeypatch.setattr(shadow, name, batch_values)
+        assert max(batches) == directions and sum(batches) == reference.n_directions
+        assert np.array_equal(msr.values, reference.values)
+        assert msr.total == reference.total
 
 
 # ---------------------------------------------------------------------------
