@@ -18,22 +18,27 @@ polygons, parallel plates and spheres sampled at one spacing), H[i, j]
 depends only on the integer offset between receiver i and source j, so H is
 a masked multilevel block-Toeplitz matrix: the lattice route applies it as
 a zero-padded FFT convolution with one kernel table (Barrowes, Teixeira &
-Kong, Microw. Opt. Technol. Lett. 2001).  Every other case (far-field
-ports, the dyadic kernel, end-fire plates, meshes, multi-part regions,
-sample sets built by hand) takes the row route, which evaluates the kernel
-over bounded row spans through one ordered map.  Both routes give results
-independent of the worker thread count, and dense materialization never
-has to happen.  For far-field ports over lattice sources the operator
-also sums its port Gram matrix H H^H over the lattice runs in closed form
-(``ChannelOperator.port_gram``), which the dense spectrum takes in place of
-streamed blocks.
+Kong, Microw. Opt. Technol. Lett. 2001).  That route needs numpy alone: its
+transforms run ``numpy.fft`` one axis at a time in place (``_fftn``, bit for
+bit scipy's ``fftn``), the table takes its distances from
+``np.linalg.norm``, and ``assemble_channel`` builds its k-d tree only for
+sets whose bounding boxes lie closer than the spacing, so a spectrum of two
+parallel plates loads only ``scipy.linalg``, for the factorizations.  Every
+other case (far-field ports, the dyadic kernel, end-fire plates, meshes,
+multi-part regions, sample sets built by hand) takes the row route, which
+evaluates the kernel over bounded row spans through one ordered map.  Both
+routes give results independent of the worker thread count, and dense
+materialization never has to happen.  For far-field ports over lattice
+sources the operator also sums its port Gram matrix H H^H over the lattice
+runs in closed form (``ChannelOperator.port_gram``), which the dense
+spectrum takes in place of streamed blocks.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 import scipy  # submodules load on first attribute use (tests/test_imports.py)
@@ -83,8 +88,8 @@ _BLOCK_ROWS = 512
 _BLOCK_ENTRIES = 2**21  # a row span's block holds at most this many entries
 # A lattice pass transforms column chunks of at most this many padded grid entries:
 # 2 MB of complex128, the L2 cache of a 2-core Xeon, so the zero-fill, scatter, FFTs,
-# multiply and gather of a chunk stay in cache.  Each column's transform is computed
-# alone, so the chunk width does not change a bit of the result.
+# multiply and gather of a chunk stay in cache.  numpy.fft transforms each line of
+# each column alone, so the chunk width does not change a bit of the result.
 _FFT_CHUNK_ENTRIES = 2**17
 
 _GRID_EPS = 1e-9
@@ -101,6 +106,38 @@ _RUN_CHUNK = 256
 # (>= 1.1e-2).  One pair below tau sends the whole Gram to the streamed blocks.
 _LATTICE_FLOOR = 1e-13
 _UNIT_ROUNDOFF = np.finfo(float).eps / 2
+
+
+def _next_fast_len(target: int) -> int:
+    """The smallest 2*3*5*7*11-smooth n >= target, as scipy's next_fast_len picks."""
+    n = max(1, target)
+    while True:
+        rest = n
+        for p in (2, 3, 5, 7, 11):
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return n
+        n += 1
+
+
+def _fftn(x: np.ndarray, inverse: bool = False, batched: bool = False) -> np.ndarray:
+    """scipy's fftn (or ifftn) of a C-contiguous complex array, in place, bit for bit.
+
+    Transforms every axis, or with ``batched`` every axis but the leading
+    column axis.  pocketfft, which runs both numpy's and scipy's FFTs, takes
+    the axes in order and scales an inverse by 1/N once, on its first axis,
+    componentwise by 1/N rounded from long double; this does the same.
+    """
+    axes = range(int(batched), x.ndim)
+    transform = np.fft.ifft if inverse else np.fft.fft
+    for axis in axes:
+        transform(x, axis=axis, norm="forward" if inverse else "backward", out=x)
+        if inverse and axis == axes[0]:
+            n = math.prod(x.shape[a] for a in axes)
+            re_im = x.view(float)
+            re_im *= float(1 / np.longdouble(n))
+    return x
 
 
 @dataclass(frozen=True, eq=False)
@@ -257,20 +294,23 @@ def sample_region(region: Region, spacing: float) -> SampleSet:
 # Kernels
 
 
-def _separations(rx: np.ndarray, tx: np.ndarray) -> np.ndarray:
-    dist = scipy.spatial.distance.cdist(rx, tx)
+def _nonzero(dist: np.ndarray) -> np.ndarray:
     if np.any(dist == 0.0):
         raise CoincidentPointsError("coincident transmit/receive points")
     return dist
 
 
-def _hankel_block(rx: np.ndarray, tx: np.ndarray, k: float) -> np.ndarray:
-    return 0.25j * scipy.special.hankel2(0, k * _separations(rx, tx))
+def _hankel(dist: np.ndarray, k: float) -> np.ndarray:
+    return 0.25j * scipy.special.hankel2(0, k * _nonzero(dist))
 
 
-def _spherical_block(rx: np.ndarray, tx: np.ndarray, k: float) -> np.ndarray:
-    dist = _separations(rx, tx)
+def _spherical(dist: np.ndarray, k: float) -> np.ndarray:
+    dist = _nonzero(dist)
     return np.exp(-1j * k * dist) / (4.0 * math.pi * dist)
+
+
+def _scalar_block(radial, rx: np.ndarray, tx: np.ndarray, k: float) -> np.ndarray:
+    return radial(scipy.spatial.distance.cdist(rx, tx), k)
 
 
 def _dyadic_block(rx: np.ndarray, tx: np.ndarray, k: float) -> np.ndarray:
@@ -316,9 +356,9 @@ def _polarized_port_block(khat: np.ndarray, sqrtw: np.ndarray, pol: np.ndarray,
     return sqrtw[:, None] * rows
 
 
-# point-receiver kind -> its block kernel
-_POINT_KERNELS = {"scalar2d": _hankel_block, "scalar3d": _spherical_block,
-                  "dyadic3d": _dyadic_block}
+# point-receiver kind -> its block kernel; a scalar one holds its kernel of distance
+_POINT_KERNELS = {"scalar2d": partial(_scalar_block, _hankel),
+                  "scalar3d": partial(_scalar_block, _spherical), "dyadic3d": _dyadic_block}
 
 
 def _pair(r, rp, name: str) -> tuple[np.ndarray, np.ndarray, float]:
@@ -337,13 +377,13 @@ def green_2d(r, rp, k: float) -> complex:
     convention of the 3D kernel.
     """
     rx, tx, _ = _pair(r, rp, "green_2d")
-    return complex(_hankel_block(rx, tx, k)[0, 0])
+    return complex(_scalar_block(_hankel, rx, tx, k)[0, 0])
 
 
 def green_3d(r, rp, k: float) -> complex:
     """3D free-space Green's function exp(-j k R) / (4 pi R)."""
     rx, tx, _ = _pair(r, rp, "green_3d")
-    return complex(_spherical_block(rx, tx, k)[0, 0])
+    return complex(_scalar_block(_spherical, rx, tx, k)[0, 0])
 
 
 def green_dyadic_3d(r, rp, k: float) -> np.ndarray:
@@ -583,26 +623,27 @@ class ChannelOperator:
         box = tx_index.max(axis=0) + rx_extent
         if np.prod(box) > self.tx.count * self.rx.count:
             return None
-        grid = tuple(scipy.fft.next_fast_len(int(n)) for n in box)
+        grid = tuple(_next_fast_len(int(n)) for n in box)
         tx_at = np.ravel_multi_index(tx_index.T, grid)
         rx_at = np.ravel_multi_index(rx_index.T, grid)
-        masks = []
+        masks = []  # the pair counts they give are only read rounded to integers
         for at in (rx_at, tx_at):
-            mask = np.zeros(grid)
+            mask = np.zeros(grid, dtype=complex)
             mask.flat[at] = 1.0
-            masks.append(scipy.fft.fftn(mask))
-        pairs = scipy.fft.ifftn(masks[0] * masks[1].conj()).real
+            masks.append(_fftn(mask))
+        pairs = _fftn(masks[0] * masks[1].conj(), inverse=True).real
         realised = np.flatnonzero(pairs > 0.5)  # offset index wrapped onto the grid
         wrapped = np.array(np.unravel_index(realised, grid)).T
         delta = np.where(wrapped < rx_extent, wrapped, wrapped - grid)
         offsets = (rx.origin + rx_lo @ steps) - (tx.origin + tx_lo @ steps) + delta @ steps
+        dist = np.linalg.norm(offsets, axis=1)  # the bits of cdist(offsets, origin)
         # a coincident pair is exactly zero apart, as row_block sees it
-        offsets[np.linalg.norm(offsets, axis=1) <= _GRID_EPS * h] = 0.0
-        values = self._kernel(offsets, np.zeros((1, offsets.shape[1])), self.k)[:, 0]
+        dist[dist <= _GRID_EPS * h] = 0.0
+        values = self._kernel.args[0](dist, self.k)  # the kernel of distance
         frobenius_sq = float(np.rint(pairs.flat[realised]) @ (values.real ** 2 + values.imag ** 2))
         table = np.zeros(grid, dtype=complex)
         table.flat[realised] = values
-        return tx_at, rx_at, scipy.fft.fftn(table, overwrite_x=True), frobenius_sq
+        return tx_at, rx_at, _fftn(table), frobenius_sq
 
     def _convolve(self, x: np.ndarray, src_at, dst_at, table_hat, out=None) -> np.ndarray:
         """Scatter column chunks of x onto the grid, multiply by the table transform, gather.
@@ -626,17 +667,14 @@ class ChannelOperator:
                 cols = cols.copy(order="F")
         size = table_hat.size
         step = max(1, _FFT_CHUNK_ENTRIES // size)
-        axes = tuple(range(1, table_hat.ndim + 1))
 
         def chunk(lo):
             hi = min(lo + step, n)
             grid = np.zeros((hi - lo, size), dtype=complex)
             grid[:, src_at] = cols[:, lo:hi].T
-            spec = scipy.fft.fftn(grid.reshape((hi - lo,) + table_hat.shape), axes=axes,
-                                  overwrite_x=True)
+            spec = _fftn(grid.reshape((hi - lo,) + table_hat.shape), batched=True)
             spec *= table_hat
-            field = scipy.fft.ifftn(spec, axes=axes, overwrite_x=True)
-            return field.reshape(hi - lo, size)[:, dst_at].T
+            return _fftn(spec, inverse=True, batched=True).reshape(hi - lo, size)[:, dst_at].T
 
         starts = range(0, n, step)
         if n_dst > cols.shape[0]:
@@ -745,10 +783,14 @@ def assemble_channel(tx: SampleSet, receiver, k: float, kind: str | None = None,
         if receiver.dimension != tx.dimension:
             raise ValueError("transmit and receive samples must share the dimension")
         min_gap = min(tx.spacing, receiver.spacing)
-        dist, _ = scipy.spatial.cKDTree(tx.points).query(receiver.points, k=1)
-        if float(np.min(dist)) < min_gap * (1.0 - 1e-12):
-            raise RegionsTooCloseError(
-                "transmit and receive samples closer than the sampling spacing")
+        # the gap between the two bounding boxes bounds every pair's distance from below
+        box_gap = np.maximum(tx.points.min(axis=0) - receiver.points.max(axis=0),
+                             receiver.points.min(axis=0) - tx.points.max(axis=0))
+        if math.hypot(*np.maximum(box_gap, 0.0)) < min_gap:
+            dist, _ = scipy.spatial.cKDTree(tx.points).query(receiver.points, k=1)
+            if float(np.min(dist)) < min_gap * (1.0 - 1e-12):
+                raise RegionsTooCloseError(
+                    "transmit and receive samples closer than the sampling spacing")
         kind = channel_kind(kind, tx.dimension, farfield=False)
         return ChannelOperator(kind, k, tx, receiver, threads)
     ports = list(receiver)

@@ -604,6 +604,95 @@ def test_lattice_frobenius_from_the_offset_table():
     assert _fallback_random().lattice_frobenius_sq is None
 
 
+# The lattice route on numpy alone: the same bits as scipy's fft and cdist
+
+
+@pytest.mark.parametrize("grid", [(64, 128), (105, 88), (16, 32, 8), (21, 15, 33)],
+                         ids=["2d-pow2", "2d-smooth", "3d-pow2", "3d-smooth"])
+@pytest.mark.parametrize("batched", [False, True], ids=["whole", "columns"])
+def test_fftn_is_scipys_bit_for_bit(grid, batched):
+    import scipy.fft
+
+    # batched as _convolve calls it: a leading axis of columns, not transformed
+    shape = (3,) + grid if batched else grid
+    axes = tuple(range(len(shape) - len(grid), len(shape)))
+    rng = np.random.default_rng(21)
+    x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    for inverse, reference in ((False, scipy.fft.fftn), (True, scipy.fft.ifftn)):
+        work = x.copy()
+        got = channel._fftn(work, inverse=inverse, batched=batched)
+        assert got is work  # in place
+        assert got.tobytes() == reference(x, axes=axes).tobytes()
+
+
+def test_next_fast_len_is_scipys():
+    import scipy.fft
+
+    assert all(channel._next_fast_len(n) == scipy.fft.next_fast_len(n)
+               for n in range(1, 2**16 + 1))
+
+
+@pytest.mark.parametrize("name", ["discs", "shifted-plates", "spheres"])
+def test_offset_norms_are_cdists(name):
+    import scipy.spatial
+
+    # offsets as the table forms them: the two lattices' corner gap plus
+    # integer steps over the box of offsets
+    tx, rx = (s.lattice for s in LATTICE_PAIRS[name]())
+    reach = tx.index.max(axis=0) + rx.index.max(axis=0) + 1
+    delta = np.indices(reach).reshape(len(reach), -1).T - tx.index.max(axis=0)
+    offsets = rx.origin - tx.origin + delta @ tx.steps
+    origin = np.zeros((1, offsets.shape[1]))
+    assert np.array_equal(np.linalg.norm(offsets, axis=1),
+                          scipy.spatial.distance.cdist(offsets, origin)[:, 0])
+
+
+def test_lattice_zero_offset_raises_in_3d():
+    # coplanar plates sharing the edge x = 1 on one lattice: their edge points coincide
+    tx = _plate_samples([0, 0, 0], _H)
+    rx = _plate_samples([1, 0, 0], _H)
+    op = ChannelOperator("scalar3d", _K, tx, rx)
+    assert tx.lattice is not None and rx.lattice is not None
+    with pytest.raises(CoincidentPointsError):  # the table meets the zero offset
+        op.apply(np.ones(op.n_cols))
+
+
+SPACING_CASES = {
+    # coplanar side by side: the boxes are 0.5 h and 1.5 h apart along x
+    "coplanar-0.5h": lambda: (_plate_samples([0, 0, 0], _H),
+                              _plate_samples([1 + 0.5 * _H, 0, 0], _H)),
+    "coplanar-1.5h": lambda: (_plate_samples([0, 0, 0], _H),
+                              _plate_samples([1 + 1.5 * _H, 0, 0], _H)),
+    # perpendicular plates sharing the edge x = 1: the boxes touch
+    "perpendicular-edge": lambda: (_plate_samples([0, 0, 0], _H),
+                                   _plate_samples([1, 0, 0], _H, u=(0, 0, 1), v=(0, 1, 0))),
+    # spheres 0.5 apart on each axis: the boxes overlap, the surfaces are 0.27 apart
+    "diagonal-spheres": lambda: (_samples([Sphere([0, 0, 0], 0.3)], _H),
+                                 _samples([Sphere([0.5, 0.5, 0.5], 0.3)], _H)),
+}
+
+
+@pytest.mark.parametrize("name, too_close, tree", [
+    ("coplanar-0.5h", True, True), ("coplanar-1.5h", False, False),
+    ("perpendicular-edge", True, True), ("diagonal-spheres", False, True)])
+def test_spacing_check_raises_where_the_tree_alone_does(name, too_close, tree, monkeypatch):
+    import scipy.spatial
+
+    tx, rx = SPACING_CASES[name]()
+    tree_class = scipy.spatial.cKDTree
+    dist, _ = tree_class(tx.points).query(rx.points, k=1)
+    assert (float(dist.min()) < _H * (1.0 - 1e-12)) == too_close  # the tree alone
+    built = []
+    monkeypatch.setattr(scipy.spatial, "cKDTree",
+                        lambda points: built.append(points) or tree_class(points))
+    if too_close:
+        with pytest.raises(RegionsTooCloseError):
+            assemble_channel(tx, rx, _K)
+    else:
+        assemble_channel(tx, rx, _K)
+    assert bool(built) == tree  # the box gap alone settles only the 1.5 h case
+
+
 @pytest.mark.parametrize("k", [0.0, -3.0, math.nan, math.inf])
 def test_wavenumber_must_be_finite_and_positive(k):
     tx, rx = SampleSet([[0.0, 0.0]], 1.0), SampleSet([[0.0, 2.0]], 1.0)

@@ -2,9 +2,11 @@
 
 The package refers to scipy by qualified name after a bare ``import scipy``,
 and scipy loads a submodule the first time one of its attributes is read.
-So the analytic commands never pay for scipy's linear algebra, FFT, spatial
-or special-function modules, and a far-field dense spectrum loads only
-``scipy.linalg``.
+So the analytic commands and ``validate`` never pay for scipy's linear
+algebra, FFT, spatial or special-function modules.  A far-field dense
+spectrum and a lattice-route spectrum of two parallel plates load only
+``scipy.linalg``: the lattice route runs numpy.fft and numpy distances, and
+the spacing check of plates a distance apart needs no k-d tree.
 """
 
 import json
@@ -68,6 +70,20 @@ def test_farfield_dense_spectrum_loads_only_linalg(tmp_path):
     assert _loaded_after(argv) == {"scipy.linalg"}
 
 
+def test_lattice_route_spectrum_loads_only_linalg(tmp_path):
+    config = str(SCENARIOS / "squares_parallel.yaml")  # a randomized sketch
+    argv = ["spectrum", "--config", config, "--out", str(tmp_path / "out")]
+    assert _loaded_after(argv) == {"scipy.linalg"}
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["route"] == "lattice"
+
+
+def test_validate_loads_no_scipy_submodule(tmp_path):
+    argv = ["validate", "--config", str(SCENARIOS / "squares_parallel.yaml"),
+            "--out", str(tmp_path / "out")]
+    assert _loaded_after(argv) == set()
+
+
 def test_rows_route_spectrum_in_a_fresh_process_is_thread_independent(tmp_path):
     # the first cdist and hankel2 calls run inside the ordered_map workers
     cfg = tmp_path / "two_part.yaml"
@@ -91,9 +107,9 @@ assert cli.main(["spectrum", "--config", {str(cfg)!r}, "--out", {str(out)!r},
 
 
 def test_first_kernel_import_inside_the_pool_is_thread_independent():
-    # assemble_channel's spacing check loads scipy.spatial (and with it
-    # scipy.special) on the calling thread; an operator built directly has no
-    # such check, so the two row spans' workers import both concurrently
+    # an operator built directly has no spacing check that could load
+    # scipy.spatial (and with it scipy.special) on the calling thread, so the
+    # two row spans' workers import both concurrently
     digests = []
     for threads in (1, 2):
         out = _run(f"""
