@@ -18,9 +18,15 @@ polygons, parallel plates and spheres sampled at one spacing), H[i, j]
 depends only on the integer offset between receiver i and source j, so H is
 a masked multilevel block-Toeplitz matrix: the lattice route applies it as
 a zero-padded FFT convolution with one kernel table (Barrowes, Teixeira &
-Kong, Microw. Opt. Technol. Lett. 2001).  That route needs numpy alone: its
-transforms run ``numpy.fft`` one axis at a time in place (``_fftn``, bit for
-bit scipy's ``fftn``), the table takes its distances from
+Kong, Microw. Opt. Technol. Lett. 2001).  Each side's sites fill one box at
+the corner of the zero-padded grid, so a pass transforms only the grid lines
+that hold data (a pruned FFT, Markel 1971): forward, the lines whose later
+axes lie in the source box, and inverse, those whose earlier axes lie in the
+destination box; where the grid is twice each box along every axis, that is
+3/4 of the line transforms of a 2D pass and 7/12 of a 3D one.  That route
+needs numpy alone: its transforms run ``numpy.fft`` one axis at a time in
+place (``_fftn``), each line as scipy's ``fftn`` transforms it, so every
+value read is scipy's bit for bit; the table takes its distances from
 ``np.linalg.norm``, and ``assemble_channel`` builds its k-d tree only for
 sets whose bounding boxes lie closer than the spacing, so a spectrum of two
 parallel plates loads only ``scipy.linalg``, for the factorizations.  Every
@@ -121,21 +127,41 @@ def _next_fast_len(target: int) -> int:
         n += 1
 
 
-def _fftn(x: np.ndarray, inverse: bool = False, batched: bool = False) -> np.ndarray:
+def _fftn(x: np.ndarray, inverse: bool = False, batched: bool = False,
+          box: tuple[int, ...] | None = None) -> np.ndarray:
     """scipy's fftn (or ifftn) of a C-contiguous complex array, in place, bit for bit.
 
     Transforms every axis, or with ``batched`` every axis but the leading
     column axis.  pocketfft, which runs both numpy's and scipy's FFTs, takes
     the axes in order and scales an inverse by 1/N once, on its first axis,
     componentwise by 1/N rounded from long double; this does the same.
+
+    ``box`` (one length per transformed axis, the box [0, box[a]) on each)
+    prunes the lines a transform passes through (Markel, IEEE Trans. Audio
+    Electroacoust. 1971).  Forward, it bounds the nonzero input: axis a is
+    transformed only where the later axes lie inside the box, since every
+    other line is still zero.  Inverse, it is what the caller reads: axis a,
+    and the 1/N scaling after the first axis, run only where the earlier
+    axes lie inside it.  Every line that is transformed goes through the
+    same ``numpy.fft`` call in the same axis order, so a forward result,
+    and an inverse result inside the box, are scipy's bit for bit, except
+    that a zero line left untransformed stays +0.0 where the full transform
+    may give -0.0.
     """
-    axes = range(int(batched), x.ndim)
+    first = int(batched)
+    axes = range(first, x.ndim)
     transform = np.fft.ifft if inverse else np.fft.fft
+    whole = [slice(None)] * x.ndim
+    inside = whole if box is None else whole[:first] + [slice(0, n) for n in box]
     for axis in axes:
-        transform(x, axis=axis, norm="forward" if inverse else "backward", out=x)
-        if inverse and axis == axes[0]:
+        if inverse:
+            part = x[tuple(inside[:axis] + whole[axis:])]
+        else:
+            part = x[tuple(whole[:axis + 1] + inside[axis + 1:])]
+        transform(part, axis=axis, norm="forward" if inverse else "backward", out=part)
+        if inverse and axis == first:
             n = math.prod(x.shape[a] for a in axes)
-            re_im = x.view(float)
+            re_im = x[tuple(inside[:axis + 1])].view(float)
             re_im *= float(1 / np.longdouble(n))
     return x
 
@@ -455,7 +481,13 @@ class ChannelOperator:
     N_T N_R entries, the kernel is evaluated once, at the offsets some pair
     realises, into a zero-padded table whose FFT is kept; apply scatters
     column chunks onto the grid, multiplies by that transform and gathers
-    the receiver points, the adjoint by its conjugate.  A chunk holds at
+    the receiver points, the adjoint by its conjugate.  The sources of a
+    chunk fill one box at the grid's corner and the gather reads one box,
+    so the forward transform skips the lines still zero outside the source
+    box and the inverse the lines that reach no destination site (``_fftn``
+    with a box); every line transformed is the same ``numpy.fft`` call in
+    the same axis order, so each value gathered is the full transform's bit
+    for bit.  A chunk holds at
     most 2**17 grid entries (``_FFT_CHUNK_ENTRIES``, 2 MB), or one column
     where a single grid is larger, and the chunks go through ``ordered_map``
     like row spans into a Fortran-order result (or ``out``, which may be the
@@ -596,15 +628,18 @@ class ChannelOperator:
 
     @cached_property
     def _lattice_table(self):
-        """(transmit sites, receiver sites, table FFT, ||H||_F^2) of the lattice route, or None.
+        """(transmit, receiver, table FFT, ||H||_F^2) of the lattice route, or None.
 
         H[i, j] is the kernel at offset + (rx_index[i] - tx_index[j]) @ steps,
-        with both indices counted from their set's smallest.  Only offsets some
-        pair realises, the nonzero entries of the mask cross-correlation, are
-        evaluated; the rest stay 0, since an offset no pair realises can be
-        singular where the two lattices coincide.  The cross-correlation
-        counts the pairs at each offset, so it also weighs |kernel|^2 into
-        ||H||_F^2.
+        with both indices counted from their set's smallest, so each set's
+        sites fill the box [0, extent) of the padded grid; the transmit and
+        the receiver entry are (flat grid sites, extent) pairs, the sites to
+        scatter or gather and the box that prunes the transforms of a pass.
+        Only offsets some pair realises, the nonzero entries of the mask
+        cross-correlation, are evaluated; the rest stay 0, since an offset no
+        pair realises can be singular where the two lattices coincide.  The
+        cross-correlation counts the pairs at each offset, so it also weighs
+        |kernel|^2 into ||H||_F^2.
         """
         tx = self.tx.lattice
         rx = self.rx.lattice if self.rx is not None else None
@@ -619,18 +654,19 @@ class ChannelOperator:
             return None
         tx_lo, rx_lo = tx.index.min(axis=0), rx.index.min(axis=0)
         tx_index, rx_index = tx.index - tx_lo, rx.index - rx_lo
-        rx_extent = rx_index.max(axis=0) + 1
-        box = tx_index.max(axis=0) + rx_extent
-        if np.prod(box) > self.tx.count * self.rx.count:
+        tx_extent, rx_extent = tx_index.max(axis=0) + 1, rx_index.max(axis=0) + 1
+        reach = tx_extent + rx_extent - 1  # the box of offsets
+        if np.prod(reach) > self.tx.count * self.rx.count:
             return None
-        grid = tuple(_next_fast_len(int(n)) for n in box)
+        grid = tuple(_next_fast_len(int(n)) for n in reach)
         tx_at = np.ravel_multi_index(tx_index.T, grid)
         rx_at = np.ravel_multi_index(rx_index.T, grid)
+        tx_box, rx_box = tuple(map(int, tx_extent)), tuple(map(int, rx_extent))
         masks = []  # the pair counts they give are only read rounded to integers
-        for at in (rx_at, tx_at):
+        for at, extent in ((rx_at, rx_box), (tx_at, tx_box)):
             mask = np.zeros(grid, dtype=complex)
             mask.flat[at] = 1.0
-            masks.append(_fftn(mask))
+            masks.append(_fftn(mask, box=extent))
         pairs = _fftn(masks[0] * masks[1].conj(), inverse=True).real
         realised = np.flatnonzero(pairs > 0.5)  # offset index wrapped onto the grid
         wrapped = np.array(np.unravel_index(realised, grid)).T
@@ -643,10 +679,14 @@ class ChannelOperator:
         frobenius_sq = float(np.rint(pairs.flat[realised]) @ (values.real ** 2 + values.imag ** 2))
         table = np.zeros(grid, dtype=complex)
         table.flat[realised] = values
-        return tx_at, rx_at, _fftn(table), frobenius_sq
+        return (tx_at, tx_box), (rx_at, rx_box), _fftn(table), frobenius_sq
 
-    def _convolve(self, x: np.ndarray, src_at, dst_at, table_hat, out=None) -> np.ndarray:
+    def _convolve(self, x: np.ndarray, src, dst, table_hat, out=None) -> np.ndarray:
         """Scatter column chunks of x onto the grid, multiply by the table transform, gather.
+
+        ``src`` and ``dst`` are (flat grid sites, box) pairs from the table;
+        the source box prunes the forward transform, the destination box the
+        inverse (``_fftn``).
 
         Each chunk's result is written into ``out`` once the chunk is done, left
         to right when the destination has at most as many rows as x, else right
@@ -654,6 +694,7 @@ class ChannelOperator:
         as in the sketch's buffer, no write reaches a column of x not yet read,
         even with 2 * threads chunks in flight; any other overlap copies x first.
         """
+        (src_at, src_box), (dst_at, dst_box) = src, dst
         cols = x.reshape(x.shape[0], -1)
         n_dst, n = dst_at.shape[0], cols.shape[1]
         if out is None:
@@ -672,9 +713,10 @@ class ChannelOperator:
             hi = min(lo + step, n)
             grid = np.zeros((hi - lo, size), dtype=complex)
             grid[:, src_at] = cols[:, lo:hi].T
-            spec = _fftn(grid.reshape((hi - lo,) + table_hat.shape), batched=True)
+            spec = _fftn(grid.reshape((hi - lo,) + table_hat.shape), batched=True, box=src_box)
             spec *= table_hat
-            return _fftn(spec, inverse=True, batched=True).reshape(hi - lo, size)[:, dst_at].T
+            spec = _fftn(spec, inverse=True, batched=True, box=dst_box)
+            return spec.reshape(hi - lo, size)[:, dst_at].T
 
         starts = range(0, n, step)
         if n_dst > cols.shape[0]:
@@ -729,8 +771,8 @@ class ChannelOperator:
         x = np.asarray(x)
         self._check(x, self.n_cols, self.n_rows, out)
         if self._lattice_table is not None:
-            tx_at, rx_at, table_hat, _ = self._lattice_table
-            return self._convolve(x, tx_at, rx_at, table_hat, out)
+            tx, rx, table_hat, _ = self._lattice_table
+            return self._convolve(x, tx, rx, table_hat, out)
         y = np.empty((self.n_rows,) + x.shape[1:], dtype=complex)
         spans = self._spans()
         for (lo, hi), part in zip(spans, ordered_map(
@@ -746,8 +788,8 @@ class ChannelOperator:
         y = np.asarray(y)
         self._check(y, self.n_rows, self.n_cols, out)
         if self._lattice_table is not None:
-            tx_at, rx_at, table_hat, _ = self._lattice_table
-            return self._convolve(y, rx_at, tx_at, table_hat.conj(), out)
+            tx, rx, table_hat, _ = self._lattice_table
+            return self._convolve(y, rx, tx, table_hat.conj(), out)
         x = np.zeros((self.n_cols,) + y.shape[1:], dtype=complex)
         for part in ordered_map(  # span order keeps the sum reproducible
                 lambda span: self.row_block(*span).conj().T @ y[span[0]:span[1]],

@@ -607,10 +607,12 @@ def test_lattice_frobenius_from_the_offset_table():
 # The lattice route on numpy alone: the same bits as scipy's fft and cdist
 
 
-@pytest.mark.parametrize("grid", [(64, 128), (105, 88), (16, 32, 8), (21, 15, 33)],
-                         ids=["2d-pow2", "2d-smooth", "3d-pow2", "3d-smooth"])
+@pytest.mark.parametrize("grid, box", [((64, 128), (30, 70)), ((105, 88), (53, 41)),
+                                       ((16, 32, 8), (9, 16, 3)), ((21, 15, 33), (11, 7, 20)),
+                                       ((40,), (17,))],
+                         ids=["2d-pow2", "2d-smooth", "3d-pow2", "3d-smooth", "1d-smooth"])
 @pytest.mark.parametrize("batched", [False, True], ids=["whole", "columns"])
-def test_fftn_is_scipys_bit_for_bit(grid, batched):
+def test_fftn_is_scipys_bit_for_bit(grid, box, batched):
     import scipy.fft
 
     # batched as _convolve calls it: a leading axis of columns, not transformed
@@ -623,6 +625,18 @@ def test_fftn_is_scipys_bit_for_bit(grid, batched):
         got = channel._fftn(work, inverse=inverse, batched=batched)
         assert got is work  # in place
         assert got.tobytes() == reference(x, axes=axes).tobytes()
+    # boxed, as a lattice pass calls it: forward on an array zero outside the
+    # box, inverse read inside the box; a zero line left untransformed stays
+    # +0.0 where the full transform may give -0.0, so only what is read is compared
+    inside = (slice(None),) * int(batched) + tuple(slice(0, n) for n in box)
+    sparse = np.zeros_like(x)
+    sparse[inside] = x[inside]
+    got = channel._fftn(sparse.copy(), batched=batched, box=box)
+    assert got.tobytes() == scipy.fft.fftn(sparse, axes=axes).tobytes()
+    got = channel._fftn(x.copy(), inverse=True, batched=batched, box=box)
+    full = scipy.fft.ifftn(x, axes=axes)
+    assert got[inside].tobytes() == full[inside].tobytes()
+    assert not np.array_equal(got, full)  # lines outside the box were skipped
 
 
 def test_next_fast_len_is_scipys():

@@ -1,4 +1,4 @@
-"""SHA-256 digests of every CSV the bundled scenarios and figures produce.
+"""SHA-256 digests of every CSV and run summary the bundled scenarios and figures produce.
 
     python3 tools/digest_outputs.py [--threads N]
 
@@ -6,8 +6,12 @@ Run it from the root of a checkout; the program is imported from ./src.
 It runs ``spectrum`` and ``capacity --modes`` on each ``scenarios/*.yaml``
 and ``reproduce`` on every figure at its defaults, all at ``--threads N``
 (default 1) and one BLAS thread, into a temporary directory.  It prints one
-``sha256  path`` line per CSV, sorted by path, so comparing two checkouts is
-a ``diff`` of their outputs.  The exit code is 1 if any command failed.
+``sha256  path`` line per CSV and per ``summary.json``, sorted by path, so
+comparing two checkouts is a ``diff`` of their outputs.  A summary is
+digested with its ``timings`` removed (re-serialized as the program writes
+it), so the digest covers every other field (``n_e``, ``n_k``,
+``captured_energy``, ...) but no clock.  The exit code is 1 if any command
+failed.
 """
 
 import os
@@ -19,6 +23,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import argparse  # noqa: E402
 import hashlib  # noqa: E402
+import json  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
 from pathlib import Path  # noqa: E402
@@ -37,7 +42,7 @@ def _commands(out: Path, threads: int, cli) -> list[list[str]]:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description="digests of every bundled CSV output")
+    parser = argparse.ArgumentParser(description="digests of every bundled CSV and summary")
     parser.add_argument("--threads", type=int, default=1)
     args = parser.parse_args(argv)
     if not Path("src/shadowdof/__init__.py").is_file():
@@ -52,8 +57,13 @@ def main(argv=None) -> int:
             if cli.main(command) != 0:
                 print(f"digest_outputs: failed: {' '.join(command)}", file=sys.stderr)
                 failed += 1
-        for path in sorted(out.rglob("*.csv")):
-            digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted([*out.rglob("*.csv"), *out.rglob("summary.json")]):
+            data = path.read_bytes()
+            if path.name == "summary.json":
+                summary = json.loads(data)
+                summary.pop("timings", None)
+                data = json.dumps(summary, indent=2, sort_keys=True).encode()
+            digest = hashlib.sha256(data).hexdigest()
             print(f"{digest}  {path.relative_to(out).as_posix()}")
     return int(failed > 0)
 
