@@ -34,7 +34,17 @@ class RegionsTooCloseError(ShadowDofError):
 
 
 class TooLargeForDenseError(ShadowDofError):
-    """Dense materialization would exceed the configured entry cap."""
+    """A planned matrix would hold more than the fixed entry cap, ``DENSE_CAP_ENTRIES``.
+
+    Raised before anything is allocated, for any planned matrix: the dense
+    route's Gram matrix and block, a randomized sketch's N x P buffer with
+    its Gram matrix, or a materialized H.  ``plan`` is the refused
+    ``spectra.SpectrumPlan``, or None where no spectrum was planned.
+    """
+
+    def __init__(self, message: str, plan=None):
+        super().__init__(message)
+        self.plan = plan
 
 
 class AllZeroSpectrumError(ShadowDofError):

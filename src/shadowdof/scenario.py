@@ -21,7 +21,6 @@ import numpy as np
 import yaml
 
 from .channel import (
-    DENSE_CAP_ENTRIES,
     ChannelOperator,
     assemble_channel,
     channel_kind,
@@ -39,7 +38,7 @@ from .shadow import (
     total_shadow,
     wavelength_for_ndof,
 )
-from .spectra import dense_entries, dense_spectrum, randomized_spectrum
+from .spectra import dense_spectrum, plan_spectrum, randomized_spectrum
 
 __all__ = ["FarFieldSpec", "ScenarioConfig", "load_scenario", "validate", "run_scenario",
            "shadow_summary"]
@@ -342,15 +341,15 @@ def build_channel(config: ScenarioConfig, wavelength: float, threads: int = 1) -
 
 
 def compute_spectrum(config: ScenarioConfig, op, n_a: float):
-    """Dense or randomized spectrum per the configured method ('auto' picks by size)."""
-    method = config.method
-    if method == "auto":
-        method = "dense" if dense_entries(*op.shape) <= DENSE_CAP_ENTRIES else "randomized"
-    if method == "dense":
+    """The spectrum ``spectra.plan_spectrum`` plans for the method and N_a ``n_a``.
+
+    A plan above the cap raises TooLargeForDenseError before any kernel
+    table or sketch buffer exists.
+    """
+    plan = plan_spectrum(op.shape, config.method, n_a, config.p_factor)
+    if plan.method == "dense":
         return dense_spectrum(op)
-    p = int(math.ceil(config.p_factor * max(n_a, 1.0)))
-    p = max(1, min(p, min(op.shape)))
-    return randomized_spectrum(op, p, config.seed, config.power_iters)
+    return randomized_spectrum(op, plan.p, config.seed, config.power_iters)
 
 
 def shadow_summary(config: ScenarioConfig, msr) -> dict:
@@ -386,10 +385,11 @@ def run_scenario(config: ScenarioConfig, threads: int = 1):
 
     With zero shadow (empty coverage or disjoint shadows everywhere) no
     channel is built and the spectrum is None.  A bad ``threads`` raises
-    ValueError before any stage runs.  A sketch whose ``zeta_error_bound``
-    exceeds criterion 7's 1e-2 logs a warning (stderr without other logging
-    set up), and so does a sketch of fewer than round(N_a) values, which has
-    no bound.
+    ValueError before any stage runs, and a spectrum plan above the cap
+    raises TooLargeForDenseError right after sampling.  A sketch whose
+    ``zeta_error_bound`` exceeds criterion 7's 1e-2 logs a warning (stderr
+    without other logging set up), and so does a sketch of fewer than
+    round(N_a) values, which has no bound.
     """
     threads = thread_count(threads)
     t0 = time.perf_counter()
@@ -404,6 +404,7 @@ def run_scenario(config: ScenarioConfig, threads: int = 1):
     t1 = time.perf_counter()
     op = build_channel(config, summary["wavelength"], threads=threads)
     timings["assemble_s"] = time.perf_counter() - t1
+    plan = plan_spectrum(op.shape, config.method, summary["n_a"], config.p_factor)
     t2 = time.perf_counter()
     spec = compute_spectrum(config, op, summary["n_a"])
     timings["spectrum_s"] = time.perf_counter() - t2
@@ -419,10 +420,10 @@ def run_scenario(config: ScenarioConfig, threads: int = 1):
                     "may be off by %.3g relative (above %g); raise p_factor or power_iters",
                     config.name, spec.captured_energy, n_top,
                     summary["zeta_error_bound"], _ZETA_ERROR_WARN)
-    elif spec.method.startswith("randomized") and spec.sigma.shape[0] < n_top:
+    elif plan.method == "randomized" and plan.p < n_top:
         log.warning("%s: the sketch has %d values, fewer than N_a = %d, so its spectrum "
                     "misses modes and carries no error bound; raise p_factor",
-                    config.name, spec.sigma.shape[0], n_top)
+                    config.name, plan.p, n_top)
     return summary, msr, spec
 
 
@@ -431,40 +432,50 @@ def run_scenario(config: ScenarioConfig, threads: int = 1):
 
 
 def validate(config: ScenarioConfig) -> dict:
-    """A dry run of the pipeline's own stages up to the channel operator.
+    """A dry run of the pipeline's own stages up to the spectrum plan.
 
     The shadow stage runs at a coarse rule (256 directions, 24 x 48); at its
     wavelength ``build_channel`` samples the regions, checks that they are
-    a sampling spacing apart and sets up the lazy operator, whose shape
-    sizes the dense route.  No kernel is evaluated.  An error a stage raises
-    (one the CLI reports as JSON) is a violation naming its class, since the
-    run stops there too.
+    a sampling spacing apart and sets up the lazy operator, and
+    ``spectra.plan_spectrum`` plans the run's spectrum for its shape.  No kernel is evaluated.  An
+    error a stage raises (one the CLI reports as JSON) is a violation naming
+    its class, since the run stops there too; a plan refused above the cap
+    is reported in ``estimates`` all the same.
     """
     violations: list[str] = []
     warnings: list[str] = []
     estimates: dict = {}
     report = {"violations": violations, "warnings": warnings, "estimates": estimates}
-    if config.is_farfield and config.receiver.coverage() == 0:
-        warnings.append("empty far-field coverage: zero shadow, no channel")
-    stage = "shadow"
+    stage, plan = "shadow", None
     try:
-        coarse = shadow_summary(config, compute_shadow(dataclasses.replace(
-            config, n_directions=256, n_theta=24, n_phi=48)))
+        msr = compute_shadow(dataclasses.replace(config, n_directions=256, n_theta=24, n_phi=48))
+        coarse = shadow_summary(config, msr)
         estimates["shadow_total_coarse"] = coarse["shadow_total"]
         if coarse["wavelength"] is None:
-            warnings.append("zero total shadow at coarse quadrature")
+            warnings.append("empty far-field coverage: zero shadow, no channel" if msr is None
+                            else "zero total shadow at coarse quadrature")
             return report
         estimates["wavelength"] = coarse["wavelength"]
         stage = "channel"
         op = build_channel(config, coarse["wavelength"])
+        estimates.update({"n_t": op.n_cols, "n_r": op.n_rows})
+        stage = "spectrum"
+        # P from the target where one is set: the shadow's N_a rounds away from it,
+        # one way at the run's rule and maybe the other at the coarse one
+        # (squares_parallel.yaml: 99.99999999999999, P = 300, against
+        # 100.00000000000001, P = 301), so the run's P can still be one above
+        n_a = config.target_ndof or coarse["n_a"]
+        plan = plan_spectrum(op.shape, config.method, n_a, config.p_factor)
     except (ShadowDofError, ValueError) as exc:  # the run stops at this stage too
         violations.append(f"{stage} stage: {type(exc).__name__}: {exc}")
+        plan = getattr(exc, "plan", None)  # a refused plan is reported all the same
+    if plan is None:
         return report
-    n_r, n_t = op.shape
-    entries = dense_entries(n_r, n_t)
-    estimates.update({"n_t": n_t, "n_r": n_r, "dense_bytes": entries * 16})
-    if entries > DENSE_CAP_ENTRIES:
-        msg = (f"dense route needs {entries} entries, the {min(n_r, n_t)}^2 Gram "
-               f"matrix and one block (cap {DENSE_CAP_ENTRIES}); use the randomized method")
-        (violations if config.method == "dense" else warnings).append(msg)
+    dense = plan.dense_route_entries
+    estimates.update({"dense_bytes": 16 * dense, "method": plan.method, "p": plan.p})
+    if plan.method == "randomized":
+        estimates["sketch_bytes"] = 16 * plan.entries
+        if config.method == "auto":
+            warnings.append(f"the dense route needs {dense} entries ({16 * dense} bytes), above "
+                            f"the cap, so the run takes the randomized sketch with P = {plan.p}")
     return report

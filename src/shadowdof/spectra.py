@@ -35,6 +35,10 @@ Its power steps take their basis from an LU factorization with partial
 pivoting, P L, which spans exactly the columns of the step's product; only
 the last basis is orthonormalized by a Householder QR, the one the
 Rayleigh-Ritz reduction needs (Li et al., "Algorithm 971", ACM TOMS 2017).
+
+``plan_spectrum`` is a run's one choice between the two: it resolves
+"auto", sets the sketch's P and refuses a route that would hold more than
+``DENSE_CAP_ENTRIES`` complex entries, before anything is allocated.
 """
 
 from __future__ import annotations
@@ -43,6 +47,7 @@ import dataclasses
 import math
 import time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy  # submodules load on first attribute use (tests/test_imports.py)
@@ -65,9 +70,11 @@ _DRAW_ENTRIES = 2**17
 NOISE_FLOOR = 1e-13
 
 __all__ = [
+    "SpectrumPlan",
     "SpectrumResult",
     "dense_spectrum",
     "dense_entries",
+    "plan_spectrum",
     "randomized_spectrum",
     "effective_ndof",
     "knee_ndof",
@@ -170,6 +177,61 @@ def dense_entries(n_rows: int, n_cols: int) -> int:
     return m * m + m * min(max(n_rows, n_cols), _BLOCK_SPAN)
 
 
+class SpectrumPlan(NamedTuple):
+    """The spectrum route a run takes and the complex entries it holds."""
+
+    method: str  # "dense" or "randomized"
+    p: int | None  # the sketch's column count; None when dense
+    entries: int  # what the planned route holds
+    dense_route_entries: int  # what the dense route would hold, the count "auto" compares
+
+
+def _checked_plan(shape, p: int | None) -> SpectrumPlan:
+    """The dense route (p None) or a P-column sketch of an N_R x N_T channel.
+
+    A sketch holds its N x P buffer, then the dense route of the N_T x P
+    matrix X inside it.  A plan above ``DENSE_CAP_ENTRIES`` entries raises
+    TooLargeForDenseError, which names its entries and bytes and carries it.
+    """
+    n_rows, n_cols = shape
+    dense = dense_entries(n_rows, n_cols)
+    if p is None:
+        plan = SpectrumPlan("dense", None, dense, dense)
+        what = (f"the dense route of a {n_rows} x {n_cols} channel (the "
+                f"{min(n_rows, n_cols)}^2 Gram matrix and one block)")
+        remedy = "use the randomized method"
+    else:
+        n = max(n_rows, n_cols)
+        plan = SpectrumPlan("randomized", p, n * p + dense_entries(n_cols, p), dense)
+        what = (f"the randomized sketch of a {n_rows} x {n_cols} channel at P = {p} (its "
+                f"{n} x {p} buffer, then a {p}^2 Gram matrix and one block)")
+        remedy = "lower p_factor"
+    if plan.entries > DENSE_CAP_ENTRIES:
+        raise TooLargeForDenseError(
+            f"{what} needs {plan.entries} complex entries, {16 * plan.entries} bytes "
+            f"({16 * plan.entries / 1e9:.2f} GB), above the cap of {DENSE_CAP_ENTRIES} "
+            f"entries ({16 * DENSE_CAP_ENTRIES / 1e9:.2f} GB); {remedy}", plan=plan)
+    return plan
+
+
+def plan_spectrum(shape, method: str, n_a: float, p_factor: float) -> SpectrumPlan:
+    """Plan the spectrum of an N_R x N_T channel before anything is allocated.
+
+    ``method`` is "dense", "randomized" or "auto"; "auto" takes the dense
+    route while its ``dense_entries`` stay within ``DENSE_CAP_ENTRIES`` and
+    the sketch beyond.  The sketch has P = ceil(p_factor max(N_a, 1))
+    columns, clamped to 1..min(N_R, N_T).  A planned route above the cap
+    raises TooLargeForDenseError, naming its entries and bytes
+    (``_checked_plan``).
+    """
+    n_rows, n_cols = shape
+    if method == "auto":
+        method = "dense" if dense_entries(n_rows, n_cols) <= DENSE_CAP_ENTRIES else "randomized"
+    p = (None if method == "dense"
+         else max(1, min(math.ceil(p_factor * max(n_a, 1.0)), n_rows, n_cols)))
+    return _checked_plan(shape, p)
+
+
 def _blocks(h):
     """Blocks covering h in a fixed order: column blocks when N_R <= N_T, else row blocks.
 
@@ -204,11 +266,7 @@ def dense_spectrum(h) -> SpectrumResult:
     if not isinstance(h, ChannelOperator):
         h = np.asarray(h)
     n_rows, n_cols = h.shape
-    entries = dense_entries(n_rows, n_cols)
-    if entries > DENSE_CAP_ENTRIES:
-        raise TooLargeForDenseError(
-            f"{n_rows} x {n_cols} needs {entries} Gram and block entries, "
-            f"above the dense cap of {DENSE_CAP_ENTRIES}")
+    _checked_plan(h.shape, None)
     wide = n_rows <= n_cols
     gram = h.port_gram() if wide and isinstance(h, ChannelOperator) else None
     route = "rows" if gram is None else "lattice"
@@ -283,11 +341,13 @@ def randomized_spectrum(h, p: int, seed: int, power_iters: int = 1) -> SpectrumR
     (``lu_s``) and in the final QR (``qr_s``).  On the lattice route
     ``captured_energy`` is sum(sigma) / ||H||_F^2, with ||H||_F^2 exact from
     the operator's offset table (``ChannelOperator.lattice_frobenius_sq``);
-    it is None otherwise.
+    it is None otherwise.  A sketch above ``DENSE_CAP_ENTRIES`` entries
+    (``_checked_plan``) raises TooLargeForDenseError before it allocates.
     """
     n_rows, n_cols = (h.shape if isinstance(h, ChannelOperator) else np.asarray(h).shape)
     if not 0 < p <= min(n_rows, n_cols):
         raise ValueError("sketch size P must be in 1..min(N_R, N_T)")
+    _checked_plan((n_rows, n_cols), p)
     timings = {"passes_s": 0.0, "lu_s": 0.0, "qr_s": 0.0}
 
     def timed(key, fn, x):

@@ -3,17 +3,21 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
+import shadowdof.channel as channel
 import shadowdof.cli as cli
 import shadowdof.scenario as scenario
 import shadowdof.spectra as spectra
 from shadowdof.cli import FIGURE_IDS, main, reproduce
-from shadowdof.errors import RegionsTooCloseError, ScenarioError
+from shadowdof.errors import RegionsTooCloseError, ScenarioError, TooLargeForDenseError
 from shadowdof.scenario import (
     FarFieldSpec,
     ScenarioConfig,
@@ -115,6 +119,15 @@ def test_validate_counts_are_the_operators(path):
     op = build_channel(config, est["wavelength"])
     assert (est["n_r"], est["n_t"]) == op.shape
     assert est["dense_bytes"] == 16 * dense_entries(*op.shape)
+    # the plan is the run's: its method, and P where it sketches
+    summary, _, _ = run_scenario(config)
+    if est["method"] == "dense":
+        assert summary["method"] == "dense"
+        assert est["p"] is None and "sketch_bytes" not in est
+    else:
+        assert summary["method"] == f"randomized(P={est['p']}, power_iters={config.power_iters})"
+        assert est["sketch_bytes"] > 0
+    assert est["p"] == {"squares_parallel": 300}.get(path.stem)
 
 
 def test_validate_counts_every_part_of_a_region():
@@ -174,10 +187,114 @@ def test_auto_picks_dense_by_gram_entries(monkeypatch):
     op = build_channel(config, 0.4)
     entries = dense_entries(*op.shape)
     assert entries < op.n_rows * op.n_cols
-    monkeypatch.setattr(scenario, "DENSE_CAP_ENTRIES", entries)
+    monkeypatch.setattr(spectra, "DENSE_CAP_ENTRIES", entries)
     assert compute_spectrum(config, op, 10.0).method == "dense"
-    monkeypatch.setattr(scenario, "DENSE_CAP_ENTRIES", entries - 1)
+    monkeypatch.setattr(spectra, "DENSE_CAP_ENTRIES", entries - 1)
+    # the sketch's own plan must fit below this cap too: P = ceil(0.6 * 10) = 6
+    # holds 484 * 6 + 6**2 + 6 * 7 entries, where P = 30 would hold 15,630
+    config = dataclasses.replace(config, p_factor=0.6)
     assert compute_spectrum(config, op, 10.0).method.startswith("randomized")
+
+
+def _squares_at(tmp_path, target_ndof):
+    """squares_parallel.yaml at another target_ndof, as a file."""
+    data = yaml.safe_load((SCENARIOS / "squares_parallel.yaml").read_text())
+    path = tmp_path / f"squares_na{target_ndof}.yaml"
+    path.write_text(yaml.safe_dump({**data, "target_ndof": target_ndof}))
+    return path
+
+
+def test_validate_refuses_the_12_gb_sketch(tmp_path):
+    # N_a = 2500: 100,489 samples a side and P = 7500, a 12 GB buffer on its own
+    report = validate(load_scenario(_squares_at(tmp_path, 2500)))
+    [violation] = report["violations"]
+    assert violation.startswith("spectrum stage: TooLargeForDenseError: the randomized sketch")
+    est = report["estimates"]
+    assert (est["method"], est["p"]) == ("randomized", 7500)
+    n = max(est["n_t"], est["n_r"])
+    assert est["sketch_bytes"] == 16 * (n * 7500 + dense_entries(est["n_t"], 7500))
+    assert f"{est['sketch_bytes']} bytes" in violation
+    assert report["warnings"] == []
+
+
+def test_spectrum_refuses_the_12_gb_sketch_before_allocating(tmp_path):
+    # under a 3 GB address-space limit an allocation of the buffer would end in a
+    # MemoryError rather than in the refusal.  The child reports its own peak,
+    # VmHWM: ru_maxrss keeps the forked test process's peak across exec.
+    script = f"""
+import json, resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (3 * 2**30, 3 * 2**30))
+sys.path.insert(0, {str(SCENARIOS.parent / "src")!r})
+from shadowdof import cli
+rc = cli.main(["spectrum", "--config", {str(_squares_at(tmp_path, 2500))!r},
+               "--out", {str(tmp_path / "out")!r}])
+with open("/proc/self/status") as fh:
+    [peak_kb] = [line.split()[1] for line in fh if line.startswith("VmHWM:")]
+print(json.dumps({{"rc": rc, "maxrss_mb": int(peak_kb) / 1024}}))
+"""
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=300, env=env)
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result["rc"] == 1
+    [line] = done.stderr.splitlines()
+    err = json.loads(line)
+    assert err["error"] == "TooLargeForDenseError"
+    assert "bytes" in err["message"] and "P = 7500" in err["message"]
+    assert result["maxrss_mb"] < 200
+    assert not (tmp_path / "out").exists()
+
+
+def test_refused_sketch_never_enters_the_sketch(monkeypatch, tmp_path, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a refused plan reached the spectrum")
+
+    monkeypatch.setattr(scenario, "randomized_spectrum", refuse)
+    monkeypatch.setattr(channel.ChannelOperator, "apply", refuse)
+    path = _squares_at(tmp_path, 10)
+    config = load_scenario(path)
+    est = validate(config)["estimates"]
+    # below the 30-column buffer alone
+    monkeypatch.setattr(spectra, "DENSE_CAP_ENTRIES", 30 * max(est["n_t"], est["n_r"]))
+    with pytest.raises(TooLargeForDenseError, match="P = 30") as info:
+        run_scenario(config)
+    assert (info.value.plan.method, info.value.plan.p) == ("randomized", 30)
+    out = tmp_path / "out"
+    assert main(["spectrum", "--config", str(path), "--out", str(out)]) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "TooLargeForDenseError"
+    assert not out.exists()
+
+
+def test_validate_warnings_follow_the_plan(monkeypatch):
+    config = lines_config()
+    est = validate(config)["estimates"]
+    n_r, n_t = est["n_r"], est["n_t"]
+    p = 150  # ceil(3 * 50)
+    sketch = max(n_r, n_t) * p + dense_entries(n_t, p)
+    assert sketch < dense_entries(n_r, n_t)
+    monkeypatch.setattr(spectra, "DENSE_CAP_ENTRIES", sketch)
+    report = validate(dataclasses.replace(config, method="randomized"))
+    assert report["violations"] == report["warnings"] == []
+    assert report["estimates"]["sketch_bytes"] == 16 * sketch
+    report = validate(dataclasses.replace(config, method="auto"))
+    assert report["violations"] == []
+    [warning] = report["warnings"]
+    assert f"randomized sketch with P = {p}" in warning
+    report = validate(config)  # method: dense
+    [violation] = report["violations"]
+    assert violation.startswith("spectrum stage: TooLargeForDenseError: the dense route")
+    assert "randomized" in violation
+    assert report["estimates"]["method"] == "dense"
+
+
+def test_validate_empty_coverage_warns_once():
+    t = Region((Disc([0.0, 0.0], 1.0),), "T")
+    config = ScenarioConfig(name="empty", transmitter=t,
+                            receiver=FarFieldSpec(2, phi_range=(1.0, 1.0)), target_ndof=10.0)
+    report = validate(config)
+    assert report["warnings"] == ["empty far-field coverage: zero shadow, no channel"]
+    assert report["violations"] == []
+    assert report["estimates"] == {"shadow_total_coarse": 0.0}
 
 
 def test_method_overrides_are_checked_by_the_config():

@@ -25,6 +25,7 @@ from shadowdof.spectra import (
     dense_spectrum,
     effective_ndof,
     knee_ndof,
+    plan_spectrum,
     randomized_spectrum,
     spectrum_from_sigma,
 )
@@ -250,6 +251,36 @@ def test_gram_route_cap_counts_gram_and_block(monkeypatch):
         dense_spectrum(op)
     with pytest.raises(TooLargeForDenseError):
         dense_spectrum(op.dense())
+
+
+def test_plan_resolves_auto_and_clamps_p(monkeypatch):
+    dense = dense_entries(64, 484)
+    assert plan_spectrum((64, 484), "dense", 10.0, 3.0) == ("dense", None, dense, dense)
+    sketch = plan_spectrum((64, 484), "randomized", 10.0, 3.0)
+    assert sketch == ("randomized", 30, 484 * 30 + dense_entries(484, 30), dense)
+    assert plan_spectrum((64, 484), "randomized", 100.0, 3.0).p == 64  # min(N_R, N_T)
+    assert plan_spectrum((64, 484), "randomized", 0.1, 0.5).p == 1  # N_a below 1 counts as 1
+    assert plan_spectrum((64, 484), "auto", 10.0, 3.0).method == "dense"
+    monkeypatch.setattr(spectra, "DENSE_CAP_ENTRIES", dense - 1)
+    with pytest.raises(TooLargeForDenseError, match="use the randomized method"):
+        plan_spectrum((64, 484), "dense", 10.0, 3.0)
+    with pytest.raises(TooLargeForDenseError, match="lower p_factor") as info:
+        plan_spectrum((64, 484), "auto", 10.0, 3.0)
+    assert info.value.plan == sketch
+    assert plan_spectrum((64, 484), "auto", 2.0, 3.0).method == "randomized"
+
+
+def test_sketch_cap_counts_buffer_gram_and_block(monkeypatch):
+    rng = np.random.default_rng(5)
+    h = rng.standard_normal((40, 90)) + 1j * rng.standard_normal((40, 90))
+    p = 8
+    entries = 90 * p + dense_entries(90, p)
+    monkeypatch.setattr(spectra, "DENSE_CAP_ENTRIES", entries)
+    assert randomized_spectrum(h, p, seed=0).sigma.shape[0] == p
+    monkeypatch.setattr(spectra, "DENSE_CAP_ENTRIES", entries - 1)
+    with pytest.raises(TooLargeForDenseError, match=f"{16 * entries} bytes") as info:
+        randomized_spectrum(h, p, seed=0)
+    assert info.value.plan == ("randomized", p, entries, dense_entries(40, 90))
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,11 @@
     python3 tools/digest_outputs.py [--threads N]
 
 Run it from the root of a checkout; the program is imported from ./src.
-It runs ``spectrum`` and ``capacity --modes`` on each ``scenarios/*.yaml``
-and ``reproduce`` on every figure at its defaults, all at ``--threads N``
-(default 1) and one BLAS thread, into a temporary directory.  It prints one
-``sha256  path`` line per CSV and per ``summary.json``, sorted by path, so
+It runs ``spectrum``, ``capacity --modes`` and ``validate --out`` on each
+``scenarios/*.yaml`` and ``reproduce`` on every figure at its defaults, all
+at ``--threads N`` (default 1; ``validate`` takes no threads) and one BLAS
+thread, into a temporary directory.  It prints one ``sha256  path`` line
+per CSV, per ``summary.json`` and per ``validate.json``, sorted by path, so
 comparing two checkouts is a ``diff`` of their outputs.  A summary is
 digested with its ``timings`` removed (re-serialized as the program writes
 it), so the digest covers every other field (``n_e``, ``n_k``,
@@ -22,7 +23,9 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import argparse  # noqa: E402
+import contextlib  # noqa: E402
 import hashlib  # noqa: E402
+import io  # noqa: E402
 import json  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
@@ -36,6 +39,8 @@ def _commands(out: Path, threads: int, cli) -> list[list[str]]:
         for command, extra in (("spectrum", []), ("capacity", ["--modes"])):
             runs.append([command, "--config", str(config),
                          "--out", str(out / command / config.stem), *extra, *common])
+        runs.append(["validate", "--config", str(config),
+                     "--out", str(out / "validate" / config.stem)])
     runs += [["reproduce", figure, "--out", str(out / "reproduce"), *common]
              for figure in cli.FIGURE_IDS]
     return runs
@@ -54,10 +59,13 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp)
         for command in _commands(out, args.threads, cli):
-            if cli.main(command) != 0:
+            with contextlib.redirect_stdout(io.StringIO()):  # validate prints its report too
+                rc = cli.main(command)
+            if rc != 0:
                 print(f"digest_outputs: failed: {' '.join(command)}", file=sys.stderr)
                 failed += 1
-        for path in sorted([*out.rglob("*.csv"), *out.rglob("summary.json")]):
+        for path in sorted([*out.rglob("*.csv"), *out.rglob("summary.json"),
+                            *out.rglob("validate.json")]):
             data = path.read_bytes()
             if path.name == "summary.json":
                 summary = json.loads(data)
