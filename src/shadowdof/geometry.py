@@ -110,11 +110,18 @@ def direction_frames(angles) -> tuple[np.ndarray, np.ndarray]:
         return np.stack([c, s], axis=1), np.stack([-s, c], axis=1)
     st, ct = np.sin(a[:, 0]), np.cos(a[:, 0])
     cp, sp = np.cos(a[:, 1]), np.sin(a[:, 1])
-    khat = np.stack([st * cp, st * sp, ct], axis=1)
-    pole = (np.abs(st) < 1e-14)[:, None]
-    theta_hat = np.where(pole, [1.0, 0.0, 0.0], np.stack([ct * cp, ct * sp, -st], axis=1))
-    phi_hat = np.where(pole, [0.0, 1.0, 0.0], np.stack([-sp, cp, np.zeros_like(sp)], axis=1))
-    return khat, np.stack([theta_hat, phi_hat], axis=2)
+    khat = np.empty((a.shape[0], 3))
+    np.multiply(st, cp, out=khat[:, 0])
+    np.multiply(st, sp, out=khat[:, 1])
+    khat[:, 2] = ct
+    bases = np.zeros((a.shape[0], 3, 2))
+    np.multiply(ct, cp, out=bases[:, 0, 0])
+    np.multiply(ct, sp, out=bases[:, 1, 0])
+    np.negative(st, out=bases[:, 2, 0])
+    np.negative(sp, out=bases[:, 0, 1])
+    bases[:, 1, 1] = cp
+    bases[np.abs(st) < 1e-14] = [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]
+    return khat, bases
 
 
 def directions_of(angles):
@@ -320,58 +327,96 @@ class ShadowInterval:
 
 @dataclass(frozen=True, eq=False)
 class ShadowPolygon:
-    """Convex CCW polygon in the projection plane; zero vertices means empty."""
+    """Convex polygon in the projection plane, held CCW; zero vertices means empty.
+
+    A clockwise ring is reversed, as ``project_rings`` orients its rings.
+    """
 
     vertices: np.ndarray = field(default_factory=lambda: np.zeros((0, 2)))
+    area: float = field(init=False, repr=False)
 
     def __post_init__(self):
         v = np.asarray(self.vertices, dtype=float).reshape(-1, 2)
+        area = polygon_area(v)
+        if area < 0:
+            v = v[::-1]
+            area = polygon_area(v)
         object.__setattr__(self, "vertices", v)
-
-    @property
-    def area(self) -> float:
-        return polygon_area(self.vertices)
+        object.__setattr__(self, "area", area)
 
     @property
     def is_empty(self) -> bool:
         return self.vertices.shape[0] < 3 or self.area <= 0.0
 
 
+def _complex(xy: np.ndarray) -> np.ndarray:
+    """Points (..., 2) as x + iy (...), each part copied bit for bit."""
+    z = np.empty(xy.shape[:-1], dtype=complex)
+    z.real, z.imag = xy[..., 0], xy[..., 1]
+    return z
+
+
+def _extent(z: np.ndarray) -> np.ndarray:
+    """Largest |x| or |y| of each ring in (W, N) rings."""
+    return np.maximum(np.abs(z.real).max(axis=0), np.abs(z.imag).max(axis=0))
+
+
 class Rings(NamedTuple):
     """Convex CCW shadow polygons of a batch of directions, padded to one width.
 
-    Row n of ``xy`` (N, W, 2) holds ``count[n]`` vertices followed by copies
-    of its last vertex; a count of zero marks an empty shadow.
+    ``z`` (W, N) holds the vertices as x + iy, vertex-major: column n holds
+    ``count[n]`` vertices followed by copies of its last vertex, and a count
+    of zero marks an empty shadow.  Steps along the vertex axis are then
+    whole-row operations across the batch.
     """
 
-    xy: np.ndarray
+    z: np.ndarray
     count: np.ndarray
 
     @classmethod
     def of(cls, polys) -> Rings:
-        """One row per ShadowPolygon; empty polygons get a count of zero."""
+        """One column per ShadowPolygon; empty polygons get a count of zero."""
         count = np.array([0 if p.is_empty else p.vertices.shape[0] for p in polys])
-        xy = np.zeros((len(polys), max(int(count.max()), 1), 2))
-        for row, (p, c) in enumerate(zip(polys, count)):
-            if c:
-                xy[row, :c] = p.vertices
-                xy[row, c:] = p.vertices[-1]
-        return cls(xy, count)
+        z = np.zeros((max(int(count.max()), 1), len(polys)), dtype=complex)
+        full = count > 0
+        if full.any():
+            # every vertex of the non-empty polygons in one array, gathered into columns
+            z_all = _complex(np.concatenate([p.vertices for p, c in zip(polys, count) if c]))
+            start = np.cumsum(count) - count
+            take = start + np.minimum(np.arange(z.shape[0])[:, None], count - 1)
+            z[:, full] = z_all[take[:, full]]
+        return cls(z, count)
 
     def polygon(self) -> ShadowPolygon:
-        """The first row as a ShadowPolygon."""
-        return ShadowPolygon(self.xy[0, :self.count[0]])
+        """The first column as a ShadowPolygon."""
+        z = self.z[:self.count[0], 0]
+        return ShadowPolygon(np.stack([z.real, z.imag], axis=1))
 
 
-def ring_areas(xy: np.ndarray) -> np.ndarray:
-    """Shoelace areas of (..., W, 2) rings; positive for CCW vertex order.
+def _running_sum(a: np.ndarray) -> np.ndarray:
+    """Running sums of a (W, ...) down axis 0, in place, each added in row order.
+
+    numpy's accumulate steps down one column at a time, a row loop adds
+    whole rows: the loop is the faster when rows are many times longer than
+    columns (plate rings), the accumulate otherwise (256-gon outlines).  Both
+    add the same terms in the same order.
+    """
+    if 16 * a.shape[0] <= a[0].size:
+        for row in range(1, a.shape[0]):
+            a[row] += a[row - 1]
+        return a
+    return np.cumsum(a, axis=0, out=a)
+
+
+def ring_areas(z: np.ndarray) -> np.ndarray:
+    """Shoelace areas of rings z (W, ...) held as x + iy; positive for CCW order.
 
     The terms are summed in vertex order, so the copies padding a ring add
     exact zeros and leave its area bit-identical.
     """
-    x, y = xy[..., 0], xy[..., 1]
-    cross = x * np.roll(y, -1, axis=-1) - np.roll(x, -1, axis=-1) * y
-    return 0.5 * np.cumsum(cross, axis=-1)[..., -1]
+    x, y = z.real, z.imag
+    cross = x * np.concatenate((y[1:], y[:1])) - np.concatenate((x[1:], x[:1])) * y
+    return 0.5 * _running_sum(cross)[-1]
 
 
 def polygon_area(vertices: np.ndarray) -> float:
@@ -379,7 +424,7 @@ def polygon_area(vertices: np.ndarray) -> float:
     v = np.asarray(vertices, dtype=float)
     if v.shape[0] < 3:
         return 0.0
-    return float(ring_areas(v))
+    return float(ring_areas(_complex(v)))
 
 
 # ---------------------------------------------------------------------------
@@ -407,13 +452,20 @@ def project_shape_2d(shape, direction: Direction) -> ShadowInterval:
 
 
 def _plane_coords(vertices: np.ndarray, bases: np.ndarray) -> np.ndarray:
-    """Coordinates (N, M, 2) of vertices (M, 3) in each plane basis (N, 3, 2).
+    """Vertices (M, 3) in each plane basis (N, 3, 2) as x + iy, (M, N).
 
-    Three multiply-adds in axis order: the sums einsum("mk,nkj->nmj") forms,
-    bit for bit, in fewer passes.
+    Three multiply-adds in axis order per part: the sums
+    einsum("mk,nkj->mnj") forms, bit for bit, in fewer passes.
     """
-    v, b = vertices[:, :, None], bases[:, None]
-    return v[:, 0] * b[:, :, 0] + v[:, 1] * b[:, :, 1] + v[:, 2] * b[:, :, 2]
+    b = bases.transpose(1, 2, 0).copy()  # (3, 2, N): one contiguous row per component
+    v = vertices[:, :, None]
+    z = np.empty((vertices.shape[0], bases.shape[0]), dtype=complex)
+    for j, part in enumerate((z.real, z.imag)):
+        t = v[:, 0] * b[0, j]
+        t += v[:, 1] * b[1, j]
+        t += v[:, 2] * b[2, j]
+        part[...] = t
+    return z
 
 
 def project_rings(shape, bases: np.ndarray, n_arc: int = N_ARC_DEFAULT) -> Rings:
@@ -421,18 +473,20 @@ def project_rings(shape, bases: np.ndarray, n_arc: int = N_ARC_DEFAULT) -> Rings
     if isinstance(shape, Sphere):
         c2 = np.einsum("k,nkj->nj", shape.center, bases)
         t = 2.0 * np.pi * (np.arange(n_arc) + 0.5) / n_arc
-        xy = c2[:, None, :] + shape.radius * np.column_stack([np.cos(t), np.sin(t)])
-        return Rings(xy, np.full(bases.shape[0], n_arc))
+        z = np.empty((n_arc, bases.shape[0]), dtype=complex)
+        z.real = (shape.radius * np.cos(t))[:, None] + c2[:, 0]
+        z.imag = (shape.radius * np.sin(t))[:, None] + c2[:, 1]
+        return Rings(z, np.full(bases.shape[0], n_arc))
     if isinstance(shape, PlanarPolygon):
         # projection of a convex ring stays a convex ring (up to orientation)
-        flat = _plane_coords(shape.vertices, bases)
-        area = ring_areas(flat)
-        scale = np.maximum(np.abs(flat).max(axis=(1, 2)), 1.0)
+        z = _plane_coords(shape.vertices, bases)
+        area = ring_areas(z)
+        scale = np.maximum(_extent(z), 1.0)
         edge_on = np.abs(area) <= 1e-12 * scale * scale
-        xy = np.where((area < 0)[:, None, None], flat[:, ::-1], flat)
-        return Rings(xy, np.where(edge_on, 0, flat.shape[1]))
+        return Rings(np.where(area < 0, z[::-1], z), np.where(edge_on, 0, z.shape[0]))
     if isinstance(shape, TriangleMesh):
-        flat = _plane_coords(shape.vertices, bases)
+        z = _plane_coords(shape.vertices, bases)
+        flat = np.stack([z.real.T, z.imag.T], axis=2)
         # Qhull has no batched call: one hull per direction
         return Rings.of([ShadowPolygon(convex_hull_2d(p)) for p in flat])
     raise TypeError(f"not a 3D shape: {type(shape).__name__}")
@@ -470,50 +524,51 @@ def interval_intersection(a: ShadowInterval, b: ShadowInterval) -> ShadowInterva
 
 
 def _clip_edge(z, count, p, d, eps) -> tuple[np.ndarray, np.ndarray]:
-    """Keep the part of each ring left of its edge from p along d (N, 2).
+    """Keep the part of each ring left of its edge from p along d (N,), x + iy.
 
-    ``z`` (N, W) holds the vertices as x + iy, NaN past each row's count: a
-    NaN slot neither keeps nor crosses.  Returns the clipped vertices
-    (N, W + 2) in the same form and their counts.
+    ``z`` (W, N) holds the rings vertex-major, NaN past each ring's count: a
+    NaN slot neither keeps nor crosses.  Returns the clipped rings
+    (W + 2, N) in the same form and their counts.
     """
-    n, width = z.shape
-    rows, last = np.arange(n), count - 1
-    x, y = z.real, z.imag
-    cr = d[:, :1] * (y - p[:, 1:]) - d[:, 1:] * (x - p[:, :1])
+    width, n = z.shape
+    cols, last = np.arange(n), count - 1
+    cr = d.real * (z.imag - p.imag) - d.imag * (z.real - p.real)
     # cr of the next vertex, the last vertex closing onto the first
-    crn = np.concatenate((cr[:, 1:], cr[:, :1]), axis=1)
-    crn[rows, last] = cr[:, 0]
-    # slot 2i emits vertex i if kept, slot 2i + 1 the crossing of the edge after it
-    emit = np.empty((n, width, 2), dtype=bool)
-    np.greater_equal(cr, -eps, out=emit[..., 0])
-    np.logical_and(np.maximum(cr, crn) > eps, np.minimum(cr, crn) < -eps, out=emit[..., 1])
-    vals = np.empty((n, width, 2), dtype=complex)
-    vals[..., 0] = z
-    hit = vals[..., 1]  # the next vertex, then in place the crossing
-    hit[:, :-1] = z[:, 1:]
-    hit[:, -1] = z[:, 0]
-    hit[rows, last] = z[:, 0]
-    with np.errstate(divide="ignore", invalid="ignore"):  # only crossings are used
-        t = cr - crn
-        np.divide(cr, t, out=t)
-        for part, v in ((hit.real, x), (hit.imag, y)):  # v + t (next - v)
-            part -= v
-            part *= t
-            part += v
-    del cr, crn, t
-    # one scatter: emitted slots in order to the front of their row, the rest
-    # to the row's spare last slot
-    dest = np.cumsum(emit.ravel()).reshape(n, width, 2)
-    before = np.concatenate(([0], dest[:-1, -1, 1]))
-    new_count = dest[:, -1, 1] - before
+    crn = np.concatenate((cr[1:], cr[:1]))
+    crn[last, cols] = cr[0]
+    keep = cr >= -eps
+    cross = (np.maximum(cr, crn) > eps) & (np.minimum(cr, crn) < -eps)
+    # a convex ring crosses at most twice: v + t (next - v) only there
+    k = np.flatnonzero(cross)
+    c = k % n
+    cr_k = cr.ravel()[k]
+    t = cr_k / (cr_k - crn.ravel()[k])
+    del cr, crn
+    z = z.ravel()
+    v, w = z[k], z[np.where(k - c == last[c] * n, c, k + n)]  # the next vertex
+    hit = np.empty(k.size, dtype=complex)
+    for part, v_part, w_part in ((hit.real, v.real, w.real), (hit.imag, v.imag, w.imag)):
+        np.subtract(w_part, v_part, out=part)
+        part *= t
+        part += v_part
+    del v, w, t
+    # vertex i goes out before the crossing of the edge after it: s counts
+    # both, up to and including i, and becomes the crossing's flat out slot,
+    # then the vertex's, one row before it where the edge crosses
+    s = _running_sum(np.add(keep, cross, dtype=np.intp))
+    new_count = s[-1].copy()
     if new_count.max(initial=0) > width + 1:  # a convex ring gains at most one vertex
         raise ValueError("clipped ring is not convex")
-    stride = width + 2
-    base = (rows * stride)[:, None, None]
-    dest = np.where(emit, dest + (base - 1 - before[:, None, None]), base + stride - 1)
-    out = np.full(n * stride, complex(np.nan, np.nan))
-    out[dest] = vals
-    return out.reshape(n, stride), new_count
+    s -= 1
+    s *= n
+    s += cols
+    s = s.ravel()
+    out = np.full((width + 2) * n, complex(np.nan, np.nan))
+    out[s[k]] = hit
+    np.subtract(s, n, out=s, where=cross.ravel())
+    k = np.flatnonzero(keep)
+    out[s[k]] = z[k]
+    return out.reshape(width + 2, n), new_count
 
 
 def clip_rings(a: Rings, b: Rings) -> tuple[Rings, np.ndarray]:
@@ -523,37 +578,41 @@ def clip_rings(a: Rings, b: Rings) -> tuple[Rings, np.ndarray]:
     a result with fewer than 3 vertices or an area of at most eps is empty.
     Returns the intersection rings and their areas.
     """
-    scale = np.maximum(np.maximum(np.abs(a.xy).max(axis=(1, 2)),
-                                  np.abs(b.xy).max(axis=(1, 2))), 1.0)
+    scale = np.maximum(np.maximum(_extent(a.z), _extent(b.z)), 1.0)
     eps = 1e-12 * scale * scale
-    # only the rows still alive go on to the next edge
+    # only the rings still alive go on to the next edge
     live = np.flatnonzero((a.count > 0) & (b.count > 0))
-    count, tol = a.count[live], eps[live, None]
-    z = a.xy[live].view(complex)[..., 0]
-    z[np.arange(z.shape[1]) >= count[:, None]] = complex(np.nan, np.nan)
+    count, tol = a.count[live], eps[live]
+    z = a.z[:, live]
+    z[np.arange(z.shape[0])[:, None] >= count] = complex(np.nan, np.nan)
+    # the clip edges k -> k+1 of b, the last closing onto the first; a pad
+    # vertex's edge is zero and keeps every vertex
+    corner = b.z[:, live]
+    edge = np.concatenate((corner[1:], corner[-1:]))
+    edge[b.count[live] - 1, np.arange(live.size)] = corner[0]
+    edge -= corner
     for k in range(int(b.count[live].max(initial=0))):
-        # edge k -> k+1 of b, closing at its last vertex; pad edges are no-ops
-        n_b = b.count[live]
-        head = np.where(k + 1 < n_b, k + 1, np.where(k + 1 == n_b, 0, k))
-        p = b.xy[live, k]
-        z, count = _clip_edge(z, count, p, b.xy[live, head] - p, tol)
+        z, count = _clip_edge(z, count, corner[k], edge[k], tol)
         kept = count >= 3
         if not kept.all():
-            live, count, z, tol = live[kept], count[kept], z[kept], tol[kept]
+            live, count, z, tol = live[kept], count[kept], z[:, kept], tol[kept]
+            corner, edge = corner[:, kept], edge[:, kept]
             if not live.size:
                 break
-        z = z[:, :count.max()]
-    # pad each ring with copies of its last vertex, then scatter the rows back
-    width = z.shape[1] if live.size else 1
-    z = np.take_along_axis(z, np.minimum(np.arange(width), count[:, None] - 1), axis=1)
-    xy = z[..., None].view(float)
-    area = ring_areas(xy)
-    alive = area > tol[:, 0]
-    out = np.zeros((a.xy.shape[0], width, 2))
-    out[live] = xy
+        z = z[:count.max()]
+    # pad each ring with copies of its last vertex, then scatter the columns back
+    width, n = (z.shape[0] if live.size else 1), live.size
+    z = z.ravel()[np.minimum(np.arange(width)[:, None], count - 1) * n + np.arange(n)]
+    area = ring_areas(z)
+    alive = area > tol
+    if n == a.z.shape[1]:
+        out = z
+    else:
+        out = np.zeros((width, a.z.shape[1]), dtype=complex)
+        out[:, live] = z
     new_count = np.zeros_like(a.count)
     new_count[live] = np.where(alive, count, 0)
-    areas = np.zeros(a.xy.shape[0])
+    areas = np.zeros(a.z.shape[1])
     areas[live] = np.where(alive, area, 0.0)
     return Rings(out, new_count), areas
 
@@ -611,7 +670,7 @@ def intersect_rings(a: Rings, b: Rings) -> tuple[Rings, np.ndarray]:
     The wider batch is clipped by the narrower one: the intersection is the
     same, and the clip takes one step per edge of the clipping ring.
     """
-    return clip_rings(a, b) if a.xy.shape[1] >= b.xy.shape[1] else clip_rings(b, a)
+    return clip_rings(a, b) if a.z.shape[0] >= b.z.shape[0] else clip_rings(b, a)
 
 
 def union_area(parts: list[Rings]) -> np.ndarray:
@@ -629,7 +688,7 @@ def union_area(parts: list[Rings]) -> np.ndarray:
                 total = total + terms(inter, inter_area, i + 1, -sign)
         return total
 
-    return sum(terms(p, np.where(p.count > 0, ring_areas(p.xy), 0.0), i + 1, 1.0)
+    return sum(terms(p, np.where(p.count > 0, ring_areas(p.z), 0.0), i + 1, 1.0)
                for i, p in enumerate(parts))
 
 
@@ -718,7 +777,7 @@ def mesh_disc(center, normal, radius: float, h: float) -> TriangleMesh:
     verts = center[None, :] + pts2[:, 0:1] * e1[None, :] + pts2[:, 1:2] * e2[None, :]
     tris = tri.simplices.copy()
     # enforce consistent in-plane orientation
-    flip = ring_areas(pts2[tris]) < 0
+    flip = ring_areas(_complex(pts2[tris]).T) < 0
     tris[flip] = tris[flip][:, [0, 2, 1]]
     normals = np.tile(normal, (tris.shape[0], 1))
     return TriangleMesh(verts, tris, normals, closed=False)

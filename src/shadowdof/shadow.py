@@ -72,12 +72,13 @@ __all__ = [
 NDOF_MODELS = {"scalar2d": (1.0, 1), "scalar3d": (1.0, 2), "em3d": (2.0, 2)}
 
 # A batch takes as many directions as rings of the widest part fit in this many
-# bytes, x and y in float64 per vertex: 1024 directions for plates, 16 for
-# 256-gon sphere outlines.  On the 16 plate-pair totals of shadow_sweep (2-core
-# Xeon) 32, 64 and 128 KiB took 0.26, 0.22 and 0.22 s a round (medians of 30),
-# and one total's arrays peaked at 0.63, 1.06 and 1.60 MB under tracemalloc;
-# shadow_sweep's peak RSS stayed within 0.2 MB of its 48.7 MB at all three.
-# No value depends on the batch.
+# bytes, one complex128 per vertex: 1024 directions for plates, 16 for 256-gon
+# sphere outlines.  On the 16 plate-pair totals of shadow_sweep (2-core Xeon,
+# medians of 30 in-process rounds) 32, 64, 128 and 256 KiB took 0.082, 0.071,
+# 0.074 and 0.072 s a round, and one total's arrays peaked at 0.61, 1.07, 1.74
+# and 1.79 MB under tracemalloc.  Sphere outlines gain from larger batches (a
+# plate against a sphere, 4608 directions: 0.086 s at 64 KiB, 0.075 s at
+# 128 KiB), but no workload runs them.  No value depends on the batch.
 _BATCH_BYTES = 2**16
 
 
@@ -140,8 +141,10 @@ class NdofEstimate:
 
 # ---------------------------------------------------------------------------
 # Batched shadow engine: every value comes from one batch of directions (a
-# per-direction call is a batch of one); per-direction arithmetic is
-# elementwise or summed in a fixed order, so no value depends on its batch.
+# per-direction call is a batch of one).  A batch's 3D shadows are geometry.Rings,
+# complex x + iy vertex-major with one column per direction, so each step along
+# the vertex axis is one operation across the batch.  Per-direction arithmetic
+# is elementwise or summed in a fixed order, so no value depends on its batch.
 
 
 def _ordering(khats: np.ndarray, t_cents, r_cents) -> np.ndarray:

@@ -22,11 +22,13 @@ from shadowdof.geometry import (
     circle_intersection_area,
     clip_rings,
     convex_polygon_intersection,
+    direction_frames,
     interval_intersection,
     mesh_plate,
     mesh_sphere,
     ordered_map,
     polygon_area,
+    project_rings,
     project_shape_2d,
     project_shape_3d,
     ring_areas,
@@ -85,6 +87,29 @@ def test_plate_shadow_normal_and_edge_on():
     edge_on = project_shape_3d(plate, Direction(0.0, theta=math.pi / 2))
     assert edge_on.is_empty
     assert edge_on.area == 0.0
+
+
+@pytest.mark.parametrize("shape", [
+    PlanarPolygon([[0, 0, 0], [1, 0, 0], [1.2, 0.8, 0], [0.1, 1, 0]], [0.0, 0.0, 1.0]),
+    Sphere([0.3, -0.2, 1.4], 0.9),
+    mesh_sphere([0.1, 0.0, 2.0], 0.5, 0.3),
+], ids=["plate", "sphere", "mesh"])
+def test_batched_projection_rows_match_single_directions(shape):
+    # random directions plus both poles and an edge-on one for the plate
+    rng = np.random.default_rng(3)
+    angles = np.column_stack([rng.uniform(0, math.pi, 40), rng.uniform(0, 2 * math.pi, 40)])
+    angles[:3] = [[0.0, 0.4], [math.pi, 1.3], [math.pi / 2, 0.2]]
+    rings = project_rings(shape, direction_frames(angles)[1])
+    for n, (theta, phi) in enumerate(angles):
+        one = project_shape_3d(shape, Direction(float(phi), float(theta)))
+        count = 0 if one.is_empty else one.vertices.shape[0]
+        assert rings.count[n] == count
+        column = rings.z[:, n]
+        # vertex for vertex, then copies of the last vertex
+        assert np.array_equal(column.real[:count], one.vertices[:, 0])
+        assert np.array_equal(column.imag[:count], one.vertices[:, 1])
+        if count:
+            assert np.all(column[count:] == column[count - 1])
 
 
 def test_projection_direction_sign_invariance():
@@ -187,7 +212,7 @@ def test_batched_clip_commutative_and_bounded(seed, n, scale, offset):
     ba = clip_rings(b, a)[1]
     # the absolute floor is the clip's own emptiness threshold, 1e-12 scale**2
     np.testing.assert_allclose(ab, ba, rtol=1e-12, atol=1e-11)
-    assert np.all(ab <= np.minimum(ring_areas(a.xy), ring_areas(b.xy)) * (1 + 1e-12))
+    assert np.all(ab <= np.minimum(ring_areas(a.z), ring_areas(b.z)) * (1 + 1e-12))
 
 
 def test_batched_clip_rows_match_one_row_clips():
@@ -219,9 +244,32 @@ def test_batched_clip_rows_match_one_row_clips():
         one, one_area = clip_rings(Rings.of([p]), Rings.of([q]))
         count = one.count[0]
         assert batch.count[row] == count
-        assert np.array_equal(batch.xy[row, :count], one.xy[0, :count])
+        assert np.array_equal(batch.z[:count, row], one.z[:count, 0])
         assert areas[row] == one_area[0]
-        assert areas[row] == (ring_areas(one.xy[0]) if count else 0.0)
+        assert areas[row] == (ring_areas(one.z[:, 0]) if count else 0.0)
+
+
+def test_clip_of_permuted_columns_gives_permuted_areas():
+    # every column is clipped on its own: reordering the batch only reorders
+    # the results, bit for bit, dead and empty columns included
+    rng = np.random.default_rng(21)
+    polys_a = [ShadowPolygon(random_convex_polygon(rng, int(rng.integers(3, 12)), 1.0))
+               for _ in range(30)]
+    polys_b = [ShadowPolygon(random_convex_polygon(rng, int(rng.integers(3, 9)), 1.0,
+                                                   center=rng.uniform(-2.5, 2.5, 2)))
+               for _ in range(30)]
+    polys_a[4] = ShadowPolygon(np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]))  # empty
+    a, b = Rings.of(polys_a), Rings.of(polys_b)
+    rings, areas = clip_rings(a, b)
+    assert 0 < np.count_nonzero(areas) < areas.size
+    perm = rng.permutation(areas.size)
+    permuted, permuted_areas = clip_rings(Rings(a.z[:, perm], a.count[perm]),
+                                          Rings(b.z[:, perm], b.count[perm]))
+    assert permuted_areas.tobytes() == areas[perm].tobytes()
+    assert np.array_equal(permuted.count, rings.count[perm])
+    for col, src in enumerate(perm):
+        count = rings.count[src]
+        assert permuted.z[:count, col].tobytes() == rings.z[:count, src].tobytes()
 
 
 def polygon_union_area(polys):
@@ -340,6 +388,16 @@ def test_mesh_builders_match_loop_reference():
 def test_shoelace_orientation():
     assert polygon_area(UNIT_SQUARE.vertices) == pytest.approx(1.0)
     assert polygon_area(UNIT_SQUARE.vertices[::-1]) == pytest.approx(-1.0)
+
+
+def test_clockwise_shadow_polygon_is_held_ccw():
+    cw = ShadowPolygon(UNIT_SQUARE.vertices[::-1])
+    assert not cw.is_empty
+    assert cw.area == 1.0
+    assert polygon_area(cw.vertices) == 1.0
+    for a, b in ((cw, UNIT_SQUARE), (UNIT_SQUARE, cw), (cw, cw)):
+        assert convex_polygon_intersection(a, b).area == pytest.approx(1.0, rel=1e-12)
+    assert convex_polygon_intersection(cw, square_at(0.5, 0.5)).area == pytest.approx(0.25)
 
 
 def _slow_consumer_run(threads):

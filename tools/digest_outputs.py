@@ -11,8 +11,13 @@ per CSV, per ``summary.json`` and per ``validate.json``, sorted by path, so
 comparing two checkouts is a ``diff`` of their outputs.  A summary is
 digested with its ``timings`` removed (re-serialized as the program writes
 it), so the digest covers every other field (``n_e``, ``n_k``,
-``captured_energy``, ...) but no clock.  The exit code is 1 if any command
-failed.
+``captured_energy``, ...) but no clock.
+
+Then it prints one ``sha256  rings/NAME  total=HEX`` line for each 3D ring
+path that no bundled file runs (a plate against a sphere outline, a mesh
+hull against a plate, a union of sphere outlines, and a transmitter-only
+far-field total): the digest of the per-direction values' bytes, and the
+total as ``float.hex``.  The exit code is 1 if any command failed.
 """
 
 import os
@@ -27,6 +32,7 @@ import contextlib  # noqa: E402
 import hashlib  # noqa: E402
 import io  # noqa: E402
 import json  # noqa: E402
+import math  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
 from pathlib import Path  # noqa: E402
@@ -46,6 +52,25 @@ def _commands(out: Path, threads: int, cli) -> list[list[str]]:
     return runs
 
 
+def _ring_totals(sd):
+    """The shadow results of the 3D ring paths that no bundled scenario runs."""
+    def plate(z):
+        return sd.PlanarPolygon([[0, 0, z], [1, 0, z], [1, 1, z], [0, 1, z]], [0, 0, 1.0])
+
+    region = sd.Region
+    yield "plate-sphere-ring", sd.total_mutual_shadow(
+        region((plate(0.0),)), region((sd.Sphere([0.5, 0.5, 2.0], 0.4),)),
+        n_theta=48, n_phi=96)
+    yield "mesh-hull-plate", sd.total_mutual_shadow(
+        region((sd.mesh_plate([0, 0, 0], [1, 0, 0], [0, 1, 0], 0.25),)), region((plate(1.0),)),
+        n_theta=24, n_phi=48)
+    yield "sphere-stack-union", sd.total_mutual_shadow(
+        region((sd.Sphere([0, 0, 0], 0.5), sd.Sphere([0, 0, 1.5], 0.5))),
+        region((sd.Sphere([0, 0, 6.0], 0.5),)), n_theta=12, n_phi=24)
+    yield "plate-farfield-quarter", sd.total_shadow(
+        region((plate(0.0),)), sd.sphere_quadrature(48, 96, phi_range=(0.3, 0.3 + math.pi / 2)))
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description="digests of every bundled CSV and summary")
     parser.add_argument("--threads", type=int, default=1)
@@ -53,6 +78,7 @@ def main(argv=None) -> int:
     if not Path("src/shadowdof/__init__.py").is_file():
         sys.exit("digest_outputs: no src/shadowdof here; run from the root of a checkout")
     sys.path.insert(0, str(Path("src").resolve()))
+    import shadowdof
     from shadowdof import cli
 
     failed = 0
@@ -73,6 +99,9 @@ def main(argv=None) -> int:
                 data = json.dumps(summary, indent=2, sort_keys=True).encode()
             digest = hashlib.sha256(data).hexdigest()
             print(f"{digest}  {path.relative_to(out).as_posix()}")
+    for name, msr in _ring_totals(shadowdof):
+        digest = hashlib.sha256(msr.values.tobytes()).hexdigest()
+        print(f"{digest}  rings/{name}  total={float(msr.total).hex()}")
     return int(failed > 0)
 
 
