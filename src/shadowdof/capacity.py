@@ -96,6 +96,13 @@ def _whitened(g: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return scipy.linalg.solve_triangular(g.conj().T, rows.conj().T, lower=True)
 
 
+def _row_forms(rows: np.ndarray, constraint) -> np.ndarray:
+    """F_p R_x^{-1} F_p^H for each row F_p, under rho or the Cholesky factor of ``_constraint``."""
+    if isinstance(constraint, float):
+        return np.real(np.einsum("pn,np->p", rows, rows.conj().T / constraint))
+    return np.sum(np.abs(_whitened(constraint, rows)) ** 2, axis=0)
+
+
 def _modes(fm: np.ndarray, constraint) -> RadiationModes:
     """Radiation modes of F under rho or the Cholesky factor from ``_constraint``."""
     if isinstance(constraint, float):
@@ -136,11 +143,7 @@ def trace_identity(f, lam2, r_x) -> tuple[float, float, float]:
         raise ValueError("port weights must be positive")
     constraint = _constraint(r_x, fm.shape[1])
     lhs = float(np.sum(_modes(np.sqrt(lam2)[:, None] * fm, constraint).efficiencies))
-    if isinstance(constraint, float):
-        quad = np.real(np.einsum("pn,np->p", fm, fm.conj().T / constraint))
-    else:
-        quad = np.sum(np.abs(_whitened(constraint, fm)) ** 2, axis=0)  # F_p R^{-1} F_p^H per row
-    rhs = float(np.sum(lam2 * quad))
+    rhs = float(np.sum(lam2 * _row_forms(fm, constraint)))
     return lhs, rhs, abs(lhs - rhs) / abs(lhs)
 
 
@@ -153,13 +156,8 @@ def max_effective_area(f_row, r_x, wavelength: float) -> float:
     """
     if wavelength <= 0:
         raise ValueError("wavelength must be positive")
-    row = np.asarray(f_row).reshape(-1)
-    constraint = _constraint(r_x)
-    if isinstance(constraint, float):
-        quad = float(np.real(row @ row.conj())) / constraint
-    else:
-        quad = float(np.sum(np.abs(_whitened(constraint, row[None, :])) ** 2))
-    return wavelength**2 * quad
+    row = np.asarray(f_row).reshape(1, -1)
+    return wavelength**2 * float(_row_forms(row, _constraint(r_x))[0])
 
 
 def waterfill(nu, gamma: float) -> WaterfillResult:

@@ -224,13 +224,38 @@ class SampleSet:
         return self.points.shape[1]
 
 
+def refuse_above_cap(nbytes: int, what: str, remedy: str, plan=None) -> None:
+    """Raise TooLargeForDenseError where ``what`` needs more than 16 ``DENSE_CAP_ENTRIES`` bytes.
+
+    The one refusal of an allocation above the cap, made before anything is
+    allocated: the spectrum plans, ``ChannelOperator.dense`` and the sampler's
+    grid boxes call it.  It reads the cap when called.
+    """
+    if nbytes > 16 * DENSE_CAP_ENTRIES:
+        raise TooLargeForDenseError(
+            f"{what} needs {nbytes // 16} complex entries, {nbytes} bytes "
+            f"({nbytes / 1e9:.2f} GB), above the cap of {DENSE_CAP_ENTRIES} "
+            f"entries ({16 * DENSE_CAP_ENTRIES / 1e9:.2f} GB); {remedy}", plan=plan)
+
+
 def _grid_count(lo: float, hi: float, step: float) -> int:
     return int(math.floor((hi - lo) / step + _GRID_EPS)) + 1
 
 
-def _grid_axes(lo: np.ndarray, hi: np.ndarray, step: float) -> list[np.ndarray]:
-    """Per axis, the grid coordinates of the given step from corner lo up to hi."""
-    return [a + step * np.arange(_grid_count(a, b, step)) for a, b in zip(lo, hi)]
+def _grid_axes(lo, hi, step: float, point_bytes: int) -> list[np.ndarray]:
+    """Per axis, the grid coordinates of the given step from corner lo up to hi.
+
+    ``point_bytes`` is what sampling the box holds per point at its peak
+    (tracemalloc on 4 M-point boxes: 88 for a plate or mesh triangle, 57 for
+    a polygon, 44 for a segment, 40 for a disc or sphere); a box above the
+    cap is refused before any of it is allocated.
+    """
+    counts = [_grid_count(a, b, step) for a, b in zip(lo, hi)]
+    refuse_above_cap(point_bytes * math.prod(counts),
+                     f"sampling a {' x '.join(map(str, counts))} grid box at spacing {step:g}",
+                     "sample more coarsely (lower delta_factor or target_ndof, or raise "
+                     "the wavelength)")
+    return [a + step * np.arange(n) for a, n in zip(lo, counts)]
 
 
 def _sites(lo: np.ndarray, step: float, inside: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -245,7 +270,7 @@ def _sites(lo: np.ndarray, step: float, inside: np.ndarray) -> tuple[np.ndarray,
 def _convex_piece(ring: np.ndarray, step: float, frame=None) -> tuple[np.ndarray, _Lattice]:
     """Grid points inside a flat convex CCW ring, mapped by frame = (origin, e1, e2) to 3D."""
     lo = ring.min(axis=0)
-    x, y = _grid_axes(lo, ring.max(axis=0), step)
+    x, y = _grid_axes(lo, ring.max(axis=0), step, 57 if frame is None else 88)
     box = np.column_stack([np.repeat(x, y.size), np.tile(y, x.size)])
     index, pts = _sites(lo, step, points_in_convex_polygon(box, ring).reshape(x.size, y.size))
     if frame is None:
@@ -260,13 +285,14 @@ def _sample_shape(shape, step: float) -> tuple[np.ndarray, _Lattice | None]:
     if isinstance(shape, Segment):
         e = shape.end - shape.start
         length = float(np.linalg.norm(e))
-        index = np.arange(_grid_count(0.0, length, step), dtype=np.int32)
-        t = step * index / length
+        [x] = _grid_axes([0.0], [length], step, 44)
+        index = np.arange(x.size, dtype=np.int32)
+        t = x / length
         return (shape.start[None, :] + t[:, None] * e[None, :],
                 _Lattice(shape.start, (step / length) * e[None, :], index[:, None]))
     if isinstance(shape, (Disc, Sphere)):
         lo = shape.center - shape.radius
-        axes = _grid_axes(lo, shape.center + shape.radius, step)
+        axes = _grid_axes(lo, shape.center + shape.radius, step, 40)
         # squared distances summed over the axes in order, as np.linalg.norm over the
         # box's points sums them, without holding those points
         dist2 = sum(np.square(x - c).reshape([-1 if b == a else 1 for b in range(len(axes))])
@@ -298,6 +324,8 @@ def sample_region(region: Region, spacing: float) -> SampleSet:
     A region of one lattice part keeps the sampler's lattice, whose sites are
     distinct; the points of several parts or of a mesh keep their first
     occurrences, in order, so shared part and triangle boundaries count once.
+    A part whose grid box would take more than the cap to sample raises
+    TooLargeForDenseError before the box is allocated (``_grid_axes``).
     """
     if spacing <= 0:
         raise ValueError("spacing must be positive")
@@ -382,9 +410,10 @@ def _polarized_port_block(khat: np.ndarray, sqrtw: np.ndarray, pol: np.ndarray,
     return sqrtw[:, None] * rows
 
 
-# point-receiver kind -> its block kernel; a scalar one holds its kernel of distance
-_POINT_KERNELS = {"scalar2d": partial(_scalar_block, _hankel),
-                  "scalar3d": partial(_scalar_block, _spherical), "dyadic3d": _dyadic_block}
+# kind -> (dimension, far-field ports or point receivers, kernel of distance: None for
+# the dyadic and port kernels); the first kind of a dimension and receiver is its default
+_KINDS = {"scalar2d": (2, False, _hankel), "scalar3d": (3, False, _spherical),
+          "dyadic3d": (3, False, None), "farfield2d": (2, True, None), "farfield3d": (3, True, None)}
 
 
 def _pair(r, rp, name: str) -> tuple[np.ndarray, np.ndarray, float]:
@@ -508,13 +537,15 @@ class ChannelOperator:
             raise ValueError(f"wavenumber must be finite and positive, got {k}")
         self.tx = tx
         self.threads = thread_count(threads)
-        polarized = False
-        if kind in ("farfield2d", "farfield3d"):
+        if kind not in _KINDS:
+            raise ValueError(f"unknown channel kind {kind!r}")
+        dimension, farfield, self._radial = _KINDS[kind]
+        if farfield:
             self.ports = list(receiver)
             self.rx = None
             khats, frames = direction_frames([p.direction.angles[0] for p in self.ports])
             sqrtw = np.sqrt([p.weight for p in self.ports])
-            polarized = kind == "farfield3d" and any(p.polarization for p in self.ports)
+            polarized = dimension == 3 and any(p.polarization for p in self.ports)
             if polarized:
                 if not all(p.polarization for p in self.ports):
                     raise ValueError("mix of polarized and scalar ports")
@@ -523,16 +554,16 @@ class ChannelOperator:
                 self._kernel, self._receiver = _polarized_port_block, (khats, sqrtw, pols)
             else:
                 self._kernel, self._receiver = _port_block, (khats, sqrtw)
-        elif kind in _POINT_KERNELS:
+            self.cols_per_source, self._rows_per_receiver = 3 if polarized else 1, 1
+        else:
             if not isinstance(receiver, SampleSet):
                 raise TypeError("point receivers must be a SampleSet")
             self.rx = receiver
             self.ports = None
-            self._kernel, self._receiver = _POINT_KERNELS[kind], (receiver.points,)
-        else:
-            raise ValueError(f"unknown channel kind {kind!r}")
-        self.cols_per_source = 3 if kind == "dyadic3d" or polarized else 1
-        self._rows_per_receiver = 1 if self.ports is not None else self.cols_per_source
+            self._receiver = (receiver.points,)
+            self._kernel = partial(_scalar_block, self._radial) if self._radial else _dyadic_block
+            # the dyadic kernel has three dipole axes at either end
+            self.cols_per_source = self._rows_per_receiver = 3 if self._radial is None else 1
         self.shape = (self._receiver[0].shape[0] * self._rows_per_receiver,
                       tx.count * self.cols_per_source)
 
@@ -643,7 +674,7 @@ class ChannelOperator:
         """
         tx = self.tx.lattice
         rx = self.rx.lattice if self.rx is not None else None
-        if (self.kind not in ("scalar2d", "scalar3d") or tx is None or rx is None
+        if (self._radial is None or tx is None or rx is None
                 or tx.steps.shape != rx.steps.shape):
             return None
         steps = tx.steps
@@ -675,7 +706,7 @@ class ChannelOperator:
         dist = np.linalg.norm(offsets, axis=1)  # the bits of cdist(offsets, origin)
         # a coincident pair is exactly zero apart, as row_block sees it
         dist[dist <= _GRID_EPS * h] = 0.0
-        values = self._kernel.args[0](dist, self.k)  # the kernel of distance
+        values = self._radial(dist, self.k)
         frobenius_sq = float(np.rint(pairs.flat[realised]) @ (values.real ** 2 + values.imag ** 2))
         table = np.zeros(grid, dtype=complex)
         table.flat[realised] = values
@@ -802,9 +833,8 @@ class ChannelOperator:
 
     def dense(self) -> np.ndarray:
         """Materialize the matrix; refuses above ``DENSE_CAP_ENTRIES`` entries."""
-        if self.n_rows * self.n_cols > DENSE_CAP_ENTRIES:
-            raise TooLargeForDenseError(f"{self.n_rows} x {self.n_cols} exceeds the dense cap "
-                                        f"of {DENSE_CAP_ENTRIES} entries")
+        refuse_above_cap(16 * self.n_rows * self.n_cols, f"the dense {self.n_rows} x "
+                         f"{self.n_cols} channel matrix", "sample more coarsely")
         out = np.empty(self.shape, dtype=complex)
         spans = self._spans()
         for (lo, hi), block in zip(spans, ordered_map(lambda span: self.row_block(*span),
@@ -821,7 +851,12 @@ def assemble_channel(tx: SampleSet, receiver, k: float, kind: str | None = None,
     function) or a list of FarFieldPort.  Transmit and receive point sets
     must be at least one sampling spacing apart.
     """
-    if isinstance(receiver, SampleSet):
+    farfield = not isinstance(receiver, SampleSet)
+    if farfield:
+        receiver = list(receiver)
+        if not receiver:
+            raise ValueError("receiver needs at least one far-field port")
+    else:
         if receiver.dimension != tx.dimension:
             raise ValueError("transmit and receive samples must share the dimension")
         min_gap = min(tx.spacing, receiver.spacing)
@@ -833,23 +868,17 @@ def assemble_channel(tx: SampleSet, receiver, k: float, kind: str | None = None,
             if float(np.min(dist)) < min_gap * (1.0 - 1e-12):
                 raise RegionsTooCloseError(
                     "transmit and receive samples closer than the sampling spacing")
-        kind = channel_kind(kind, tx.dimension, farfield=False)
-        return ChannelOperator(kind, k, tx, receiver, threads)
-    ports = list(receiver)
-    if not ports:
-        raise ValueError("receiver needs at least one far-field port")
-    return ChannelOperator(channel_kind(kind, tx.dimension, farfield=True), k, tx, ports,
-                           threads)
+    return ChannelOperator(channel_kind(kind, tx.dimension, farfield), k, tx, receiver, threads)
 
 
 def channel_kind(kind: str | None, dimension: int, farfield: bool) -> str:
     """The operator kind for a receiver type: the dimension's default, or ``kind`` checked."""
     if kind is None:
-        return ("farfield" if farfield else "scalar") + ("2d" if dimension == 2 else "3d")
-    if farfield and kind not in ("farfield2d", "farfield3d"):
-        raise ValueError(f"kind {kind!r} incompatible with far-field ports")
-    if not farfield and kind not in ("scalar2d", "scalar3d", "dyadic3d"):
-        raise ValueError(f"kind {kind!r} incompatible with a point receiver")
-    if kind[-2:] != f"{dimension}d":
-        raise ValueError(f"kind {kind!r} needs {kind[-2:].upper()} samples")
+        return next(name for name, spec in _KINDS.items() if spec[:2] == (dimension, farfield))
+    needs, farfield_kind, _ = _KINDS.get(kind, (None, None, None))
+    if farfield_kind != farfield:
+        raise ValueError(f"kind {kind!r} incompatible with "
+                         + ("far-field ports" if farfield else "a point receiver"))
+    if needs != dimension:
+        raise ValueError(f"kind {kind!r} needs {needs}D samples")
     return kind

@@ -34,12 +34,13 @@ class RegionsTooCloseError(ShadowDofError):
 
 
 class TooLargeForDenseError(ShadowDofError):
-    """A planned matrix would hold more than the fixed entry cap, ``DENSE_CAP_ENTRIES``.
+    """A planned allocation would exceed the fixed cap, ``channel.DENSE_CAP_ENTRIES``.
 
-    Raised before anything is allocated, for any planned matrix: the dense
-    route's Gram matrix and block, a randomized sketch's N x P buffer with
-    its Gram matrix, or a materialized H.  ``plan`` is the refused
-    ``spectra.SpectrumPlan``, or None where no spectrum was planned.
+    Raised before anything is allocated, by ``channel.refuse_above_cap``: for
+    the dense route's Gram matrix and block, a randomized sketch's N x P
+    buffer with its Gram matrix, a materialized H, or the grid box a part is
+    sampled on.  ``plan`` is the refused ``spectra.SpectrumPlan``, or None
+    where no spectrum was planned.
     """
 
     def __init__(self, message: str, plan=None):

@@ -38,7 +38,7 @@ from .shadow import (
     total_shadow,
     wavelength_for_ndof,
 )
-from .spectra import dense_spectrum, plan_spectrum, randomized_spectrum
+from .spectra import dense_entries, dense_spectrum, plan_spectrum, randomized_spectrum
 
 __all__ = ["FarFieldSpec", "ScenarioConfig", "load_scenario", "validate", "run_scenario",
            "shadow_summary"]
@@ -340,13 +340,8 @@ def build_channel(config: ScenarioConfig, wavelength: float, threads: int = 1) -
     return assemble_channel(tx, receiver, k, kind=config.kernel, threads=threads)
 
 
-def compute_spectrum(config: ScenarioConfig, op, n_a: float):
-    """The spectrum ``spectra.plan_spectrum`` plans for the method and N_a ``n_a``.
-
-    A plan above the cap raises TooLargeForDenseError before any kernel
-    table or sketch buffer exists.
-    """
-    plan = plan_spectrum(op.shape, config.method, n_a, config.p_factor)
+def compute_spectrum(config: ScenarioConfig, op, plan):
+    """The spectrum of ``op`` by the run's ``spectra.SpectrumPlan``."""
     if plan.method == "dense":
         return dense_spectrum(op)
     return randomized_spectrum(op, plan.p, config.seed, config.power_iters)
@@ -406,7 +401,7 @@ def run_scenario(config: ScenarioConfig, threads: int = 1):
     timings["assemble_s"] = time.perf_counter() - t1
     plan = plan_spectrum(op.shape, config.method, summary["n_a"], config.p_factor)
     t2 = time.perf_counter()
-    spec = compute_spectrum(config, op, summary["n_a"])
+    spec = compute_spectrum(config, op, plan)
     timings["spectrum_s"] = time.perf_counter() - t2
     timings.update(spec.timings or {})  # a sketch's passes_s, lu_s and qr_s, parts of spectrum_s
     n_top = round(summary["n_a"])
@@ -471,7 +466,7 @@ def validate(config: ScenarioConfig) -> dict:
         plan = getattr(exc, "plan", None)  # a refused plan is reported all the same
     if plan is None:
         return report
-    dense = plan.dense_route_entries
+    dense = dense_entries(*op.shape)
     estimates.update({"dense_bytes": 16 * dense, "method": plan.method, "p": plan.p})
     if plan.method == "randomized":
         estimates["sketch_bytes"] = 16 * plan.entries

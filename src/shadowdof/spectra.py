@@ -38,7 +38,7 @@ Rayleigh-Ritz reduction needs (Li et al., "Algorithm 971", ACM TOMS 2017).
 
 ``plan_spectrum`` is a run's one choice between the two: it resolves
 "auto", sets the sketch's P and refuses a route that would hold more than
-``DENSE_CAP_ENTRIES`` complex entries, before anything is allocated.
+``channel.DENSE_CAP_ENTRIES`` complex entries, before anything is allocated.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy  # submodules load on first attribute use (tests/test_imports.py)
 
-from .channel import DENSE_CAP_ENTRIES, ChannelOperator
+from .channel import ChannelOperator, refuse_above_cap
 from .errors import AllZeroSpectrumError, TooLargeForDenseError
 
 # Extent of a dense-route block along the longer side.  On a 2-core Xeon with
@@ -183,34 +183,29 @@ class SpectrumPlan(NamedTuple):
     method: str  # "dense" or "randomized"
     p: int | None  # the sketch's column count; None when dense
     entries: int  # what the planned route holds
-    dense_route_entries: int  # what the dense route would hold, the count "auto" compares
 
 
 def _checked_plan(shape, p: int | None) -> SpectrumPlan:
     """The dense route (p None) or a P-column sketch of an N_R x N_T channel.
 
     A sketch holds its N x P buffer, then the dense route of the N_T x P
-    matrix X inside it.  A plan above ``DENSE_CAP_ENTRIES`` entries raises
-    TooLargeForDenseError, which names its entries and bytes and carries it.
+    matrix X inside it.  A plan above ``channel.DENSE_CAP_ENTRIES`` entries
+    raises TooLargeForDenseError (``channel.refuse_above_cap``), which names
+    its entries and bytes and carries it.
     """
     n_rows, n_cols = shape
-    dense = dense_entries(n_rows, n_cols)
     if p is None:
-        plan = SpectrumPlan("dense", None, dense, dense)
+        plan = SpectrumPlan("dense", None, dense_entries(n_rows, n_cols))
         what = (f"the dense route of a {n_rows} x {n_cols} channel (the "
                 f"{min(n_rows, n_cols)}^2 Gram matrix and one block)")
         remedy = "use the randomized method"
     else:
         n = max(n_rows, n_cols)
-        plan = SpectrumPlan("randomized", p, n * p + dense_entries(n_cols, p), dense)
+        plan = SpectrumPlan("randomized", p, n * p + dense_entries(n_cols, p))
         what = (f"the randomized sketch of a {n_rows} x {n_cols} channel at P = {p} (its "
                 f"{n} x {p} buffer, then a {p}^2 Gram matrix and one block)")
         remedy = "lower p_factor"
-    if plan.entries > DENSE_CAP_ENTRIES:
-        raise TooLargeForDenseError(
-            f"{what} needs {plan.entries} complex entries, {16 * plan.entries} bytes "
-            f"({16 * plan.entries / 1e9:.2f} GB), above the cap of {DENSE_CAP_ENTRIES} "
-            f"entries ({16 * DENSE_CAP_ENTRIES / 1e9:.2f} GB); {remedy}", plan=plan)
+    refuse_above_cap(16 * plan.entries, what, remedy, plan)
     return plan
 
 
@@ -218,18 +213,18 @@ def plan_spectrum(shape, method: str, n_a: float, p_factor: float) -> SpectrumPl
     """Plan the spectrum of an N_R x N_T channel before anything is allocated.
 
     ``method`` is "dense", "randomized" or "auto"; "auto" takes the dense
-    route while its ``dense_entries`` stay within ``DENSE_CAP_ENTRIES`` and
-    the sketch beyond.  The sketch has P = ceil(p_factor max(N_a, 1))
-    columns, clamped to 1..min(N_R, N_T).  A planned route above the cap
-    raises TooLargeForDenseError, naming its entries and bytes
-    (``_checked_plan``).
+    route where the cap admits its plan and the sketch beyond.  The sketch
+    has P = ceil(p_factor max(N_a, 1)) columns, clamped to 1..min(N_R, N_T).
+    A planned route above the cap raises TooLargeForDenseError, naming its
+    entries and bytes (``_checked_plan``).
     """
-    n_rows, n_cols = shape
-    if method == "auto":
-        method = "dense" if dense_entries(n_rows, n_cols) <= DENSE_CAP_ENTRIES else "randomized"
-    p = (None if method == "dense"
-         else max(1, min(math.ceil(p_factor * max(n_a, 1.0)), n_rows, n_cols)))
-    return _checked_plan(shape, p)
+    if method in ("dense", "auto"):
+        try:
+            return _checked_plan(shape, None)
+        except TooLargeForDenseError:
+            if method == "dense":
+                raise
+    return _checked_plan(shape, max(1, min(math.ceil(p_factor * max(n_a, 1.0)), *shape)))
 
 
 def _blocks(h):
@@ -260,8 +255,9 @@ def dense_spectrum(h) -> SpectrumResult:
     Otherwise G = sum B B^H accumulates over column blocks B, or sum B^H B
     over row blocks, in a fixed block order (route ``"rows"``).  H is never
     materialized: the route holds m**2 entries plus one block of m x 256
-    and refuses above ``DENSE_CAP_ENTRIES`` of them (``dense_entries``).  Values below
-    about 1e-13 sigma_1 are rounding noise; negative ones are reported as 0.
+    and refuses above ``channel.DENSE_CAP_ENTRIES`` of them (``dense_entries``).
+    Values below about 1e-13 sigma_1 are rounding noise; negative ones are
+    reported as 0.
     """
     if not isinstance(h, ChannelOperator):
         h = np.asarray(h)
@@ -341,7 +337,7 @@ def randomized_spectrum(h, p: int, seed: int, power_iters: int = 1) -> SpectrumR
     (``lu_s``) and in the final QR (``qr_s``).  On the lattice route
     ``captured_energy`` is sum(sigma) / ||H||_F^2, with ||H||_F^2 exact from
     the operator's offset table (``ChannelOperator.lattice_frobenius_sq``);
-    it is None otherwise.  A sketch above ``DENSE_CAP_ENTRIES`` entries
+    it is None otherwise.  A sketch above ``channel.DENSE_CAP_ENTRIES`` entries
     (``_checked_plan``) raises TooLargeForDenseError before it allocates.
     """
     n_rows, n_cols = (h.shape if isinstance(h, ChannelOperator) else np.asarray(h).shape)

@@ -187,13 +187,15 @@ def test_auto_picks_dense_by_gram_entries(monkeypatch):
     op = build_channel(config, 0.4)
     entries = dense_entries(*op.shape)
     assert entries < op.n_rows * op.n_cols
-    monkeypatch.setattr(spectra, "DENSE_CAP_ENTRIES", entries)
-    assert compute_spectrum(config, op, 10.0).method == "dense"
-    monkeypatch.setattr(spectra, "DENSE_CAP_ENTRIES", entries - 1)
+    monkeypatch.setattr(channel, "DENSE_CAP_ENTRIES", entries)
+    plan = spectra.plan_spectrum(op.shape, config.method, 10.0, config.p_factor)
+    assert compute_spectrum(config, op, plan).method == "dense"
+    monkeypatch.setattr(channel, "DENSE_CAP_ENTRIES", entries - 1)
     # the sketch's own plan must fit below this cap too: P = ceil(0.6 * 10) = 6
     # holds 484 * 6 + 6**2 + 6 * 7 entries, where P = 30 would hold 15,630
     config = dataclasses.replace(config, p_factor=0.6)
-    assert compute_spectrum(config, op, 10.0).method.startswith("randomized")
+    plan = spectra.plan_spectrum(op.shape, config.method, 10.0, config.p_factor)
+    assert compute_spectrum(config, op, plan).method.startswith("randomized")
 
 
 def _squares_at(tmp_path, target_ndof):
@@ -245,6 +247,45 @@ print(json.dumps({{"rc": rc, "maxrss_mb": int(peak_kb) / 1024}}))
     assert not (tmp_path / "out").exists()
 
 
+def test_oversized_sampling_box_is_refused_before_allocating(tmp_path):
+    # N_a = 1e8: a 63,113 x 63,113 grid box per plate, 351 GB at the sampler's
+    # 88 bytes a point; under a 2 GB address-space limit its allocation would end
+    # in a MemoryError rather than in the refusal.
+    path = _squares_at(tmp_path, 100_000_000)
+    script = f"""
+import contextlib, io, json, resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (2 * 2**30, 2 * 2**30))
+sys.path.insert(0, {str(SCENARIOS.parent / "src")!r})
+from shadowdof import cli
+with contextlib.redirect_stdout(io.StringIO()) as report:
+    validated = cli.main(["validate", "--config", {str(path)!r}])
+rc = cli.main(["spectrum", "--config", {str(path)!r}, "--out", {str(tmp_path / "out")!r}])
+print(json.dumps({{"rc": rc, "validated": validated, "report": json.loads(report.getvalue())}}))
+"""
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=300, env=env)
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert (result["validated"], result["rc"]) == (0, 1)
+    [line] = done.stderr.splitlines()
+    err = json.loads(line)
+    assert err["error"] == "TooLargeForDenseError"
+    assert err["message"].startswith("sampling a ")
+    [violation] = result["report"]["violations"]
+    assert violation.startswith("channel stage: TooLargeForDenseError: sampling a ")
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_plans_its_spectrum_once(monkeypatch):
+    plans = []
+    plan_spectrum = scenario.plan_spectrum
+    monkeypatch.setattr(scenario, "plan_spectrum",
+                        lambda *args: plans.append(args) or plan_spectrum(*args))
+    summary, _, spec = run_scenario(lines_config(target_ndof=10.0))
+    assert len(plans) == 1
+    assert summary["method"] == spec.method == "dense"
+
+
 def test_refused_sketch_never_enters_the_sketch(monkeypatch, tmp_path, capsys):
     def refuse(*args, **kwargs):
         raise AssertionError("a refused plan reached the spectrum")
@@ -255,7 +296,7 @@ def test_refused_sketch_never_enters_the_sketch(monkeypatch, tmp_path, capsys):
     config = load_scenario(path)
     est = validate(config)["estimates"]
     # below the 30-column buffer alone
-    monkeypatch.setattr(spectra, "DENSE_CAP_ENTRIES", 30 * max(est["n_t"], est["n_r"]))
+    monkeypatch.setattr(channel, "DENSE_CAP_ENTRIES", 30 * max(est["n_t"], est["n_r"]))
     with pytest.raises(TooLargeForDenseError, match="P = 30") as info:
         run_scenario(config)
     assert (info.value.plan.method, info.value.plan.p) == ("randomized", 30)
@@ -272,7 +313,7 @@ def test_validate_warnings_follow_the_plan(monkeypatch):
     p = 150  # ceil(3 * 50)
     sketch = max(n_r, n_t) * p + dense_entries(n_t, p)
     assert sketch < dense_entries(n_r, n_t)
-    monkeypatch.setattr(spectra, "DENSE_CAP_ENTRIES", sketch)
+    monkeypatch.setattr(channel, "DENSE_CAP_ENTRIES", sketch)
     report = validate(dataclasses.replace(config, method="randomized"))
     assert report["violations"] == report["warnings"] == []
     assert report["estimates"]["sketch_bytes"] == 16 * sketch

@@ -244,24 +244,43 @@ def test_gram_route_cap_counts_gram_and_block(monkeypatch):
     n_rows, n_cols = op.shape
     entries = dense_entries(n_rows, n_cols)
     assert entries == n_rows**2 + 7 * n_rows < n_rows * n_cols
-    monkeypatch.setattr(spectra, "DENSE_CAP_ENTRIES", entries)
+    monkeypatch.setattr(channel, "DENSE_CAP_ENTRIES", entries)
     assert dense_spectrum(op).sigma.shape[0] == n_rows
-    monkeypatch.setattr(spectra, "DENSE_CAP_ENTRIES", entries - 1)
+    monkeypatch.setattr(channel, "DENSE_CAP_ENTRIES", entries - 1)
     with pytest.raises(TooLargeForDenseError):
         dense_spectrum(op)
     with pytest.raises(TooLargeForDenseError):
         dense_spectrum(op.dense())
 
 
+def test_one_cap_moves_every_refusal(monkeypatch):
+    # the plan, the materialized H and the sampler all read channel.DENSE_CAP_ENTRIES
+    region = Region((Disc([0.0, 0.0], 0.5),), "T")
+    samples = sample_region(region, 0.1)
+    op = assemble_channel(samples, sample_region(Region((Disc([0.0, 2.0], 0.5),), "R"), 0.1),
+                          6.0)
+    assert plan_spectrum(op.shape, "dense", 10.0, 3.0).method == "dense"
+    monkeypatch.setattr(channel, "DENSE_CAP_ENTRIES", op.n_rows * op.n_cols - 1)
+    with pytest.raises(TooLargeForDenseError, match="use the randomized method"):
+        plan_spectrum(op.shape, "dense", 10.0, 3.0)
+    with pytest.raises(TooLargeForDenseError, match="dense .* channel matrix"):
+        op.dense()
+    assert sample_region(region, 0.1).count == samples.count
+    monkeypatch.setattr(channel, "DENSE_CAP_ENTRIES", samples.count)
+    with pytest.raises(TooLargeForDenseError, match="sampling a 11 x 11 grid box") as info:
+        sample_region(region, 0.1)
+    assert info.value.plan is None
+
+
 def test_plan_resolves_auto_and_clamps_p(monkeypatch):
     dense = dense_entries(64, 484)
-    assert plan_spectrum((64, 484), "dense", 10.0, 3.0) == ("dense", None, dense, dense)
+    assert plan_spectrum((64, 484), "dense", 10.0, 3.0) == ("dense", None, dense)
     sketch = plan_spectrum((64, 484), "randomized", 10.0, 3.0)
-    assert sketch == ("randomized", 30, 484 * 30 + dense_entries(484, 30), dense)
+    assert sketch == ("randomized", 30, 484 * 30 + dense_entries(484, 30))
     assert plan_spectrum((64, 484), "randomized", 100.0, 3.0).p == 64  # min(N_R, N_T)
     assert plan_spectrum((64, 484), "randomized", 0.1, 0.5).p == 1  # N_a below 1 counts as 1
     assert plan_spectrum((64, 484), "auto", 10.0, 3.0).method == "dense"
-    monkeypatch.setattr(spectra, "DENSE_CAP_ENTRIES", dense - 1)
+    monkeypatch.setattr(channel, "DENSE_CAP_ENTRIES", dense - 1)
     with pytest.raises(TooLargeForDenseError, match="use the randomized method"):
         plan_spectrum((64, 484), "dense", 10.0, 3.0)
     with pytest.raises(TooLargeForDenseError, match="lower p_factor") as info:
@@ -275,12 +294,12 @@ def test_sketch_cap_counts_buffer_gram_and_block(monkeypatch):
     h = rng.standard_normal((40, 90)) + 1j * rng.standard_normal((40, 90))
     p = 8
     entries = 90 * p + dense_entries(90, p)
-    monkeypatch.setattr(spectra, "DENSE_CAP_ENTRIES", entries)
+    monkeypatch.setattr(channel, "DENSE_CAP_ENTRIES", entries)
     assert randomized_spectrum(h, p, seed=0).sigma.shape[0] == p
-    monkeypatch.setattr(spectra, "DENSE_CAP_ENTRIES", entries - 1)
+    monkeypatch.setattr(channel, "DENSE_CAP_ENTRIES", entries - 1)
     with pytest.raises(TooLargeForDenseError, match=f"{16 * entries} bytes") as info:
         randomized_spectrum(h, p, seed=0)
-    assert info.value.plan == ("randomized", p, entries, dense_entries(40, 90))
+    assert info.value.plan == ("randomized", p, entries)
 
 
 # ---------------------------------------------------------------------------

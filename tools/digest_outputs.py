@@ -4,7 +4,9 @@
 
 Run it from the root of a checkout; the program is imported from ./src.
 It runs ``spectrum``, ``capacity --modes`` and ``validate --out`` on each
-``scenarios/*.yaml`` and ``reproduce`` on every figure at its defaults, all
+``scenarios/*.yaml``, ``validate --out`` on one plan the cap refuses
+(``squares_parallel.yaml`` at ``target_ndof: 2500``, whose report carries
+the refusal's text), and ``reproduce`` on every figure at its defaults, all
 at ``--threads N`` (default 1; ``validate`` takes no threads) and one BLAS
 thread, into a temporary directory.  It prints one ``sha256  path`` line
 per CSV, per ``summary.json`` and per ``validate.json``, sorted by path, so
@@ -37,6 +39,8 @@ import sys  # noqa: E402
 import tempfile  # noqa: E402
 from pathlib import Path  # noqa: E402
 
+import yaml  # noqa: E402
+
 
 def _commands(out: Path, threads: int, cli) -> list[list[str]]:
     common = ["--threads", str(threads)]
@@ -47,6 +51,11 @@ def _commands(out: Path, threads: int, cli) -> list[list[str]]:
                          "--out", str(out / command / config.stem), *extra, *common])
         runs.append(["validate", "--config", str(config),
                      "--out", str(out / "validate" / config.stem)])
+    data = yaml.safe_load(Path("scenarios/squares_parallel.yaml").read_text())
+    refused = out / "squares_parallel_na2500.yaml"
+    refused.write_text(yaml.safe_dump({**data, "target_ndof": 2500}))
+    runs.append(["validate", "--config", str(refused),
+                 "--out", str(out / "validate" / refused.stem)])
     runs += [["reproduce", figure, "--out", str(out / "reproduce"), *common]
              for figure in cli.FIGURE_IDS]
     return runs
