@@ -99,6 +99,9 @@ _BLOCK_ENTRIES = 2**21  # a row span's block holds at most this many entries
 _FFT_CHUNK_ENTRIES = 2**17
 
 _GRID_EPS = 1e-9
+# Peak bytes a point of a sampled grid box holds, the largest measured (tracemalloc on
+# 4 M-point boxes: 88 for a plate, 40 for a disc or sphere).
+_BOX_POINT_BYTES = 88
 
 # Run ends per chunk of the closed-form port Gram, the dense spectrum's block
 # width: a different chunk changes the accumulation order, and with it the bits.
@@ -224,35 +227,36 @@ class SampleSet:
         return self.points.shape[1]
 
 
-def refuse_above_cap(nbytes: int, what: str, remedy: str, plan=None) -> None:
-    """Raise TooLargeForDenseError where ``what`` needs more than 16 ``DENSE_CAP_ENTRIES`` bytes.
+def refuse_above_cap(nbytes: int, need: str, remedy: str, plan=None) -> None:
+    """Raise TooLargeForDenseError where ``need`` takes more than 16 ``DENSE_CAP_ENTRIES`` bytes.
 
     The one refusal of an allocation above the cap, made before anything is
     allocated: the spectrum plans, ``ChannelOperator.dense`` and the sampler's
-    grid boxes call it.  It reads the cap when called.
+    grid boxes call it.  ``need`` says what is needed in the caller's own
+    count ("... needs N complex entries"); the message adds its bytes.  It
+    reads the cap when called.
     """
     if nbytes > 16 * DENSE_CAP_ENTRIES:
         raise TooLargeForDenseError(
-            f"{what} needs {nbytes // 16} complex entries, {nbytes} bytes "
-            f"({nbytes / 1e9:.2f} GB), above the cap of {DENSE_CAP_ENTRIES} "
-            f"entries ({16 * DENSE_CAP_ENTRIES / 1e9:.2f} GB); {remedy}", plan=plan)
+            f"{need}, {nbytes} bytes ({nbytes / 1e9:.2f} GB), above the cap of {DENSE_CAP_ENTRIES}"
+            f" entries ({16 * DENSE_CAP_ENTRIES / 1e9:.2f} GB); {remedy}", plan=plan)
 
 
 def _grid_count(lo: float, hi: float, step: float) -> int:
     return int(math.floor((hi - lo) / step + _GRID_EPS)) + 1
 
 
-def _grid_axes(lo, hi, step: float, point_bytes: int) -> list[np.ndarray]:
+def _grid_axes(lo, hi, step: float) -> list[np.ndarray]:
     """Per axis, the grid coordinates of the given step from corner lo up to hi.
 
-    ``point_bytes`` is what sampling the box holds per point at its peak
-    (tracemalloc on 4 M-point boxes: 88 for a plate or mesh triangle, 57 for
-    a polygon, 44 for a segment, 40 for a disc or sphere); a box above the
-    cap is refused before any of it is allocated.
+    A box whose sampling would hold more than the cap, at ``_BOX_POINT_BYTES``
+    a point, is refused before any of it is allocated.
     """
     counts = [_grid_count(a, b, step) for a, b in zip(lo, hi)]
-    refuse_above_cap(point_bytes * math.prod(counts),
-                     f"sampling a {' x '.join(map(str, counts))} grid box at spacing {step:g}",
+    points = math.prod(counts)
+    refuse_above_cap(_BOX_POINT_BYTES * points,
+                     f"sampling a {' x '.join(map(str, counts))} grid box at spacing {step:g} "
+                     f"needs {_BOX_POINT_BYTES} bytes for each of its {points} points",
                      "sample more coarsely (lower delta_factor or target_ndof, or raise "
                      "the wavelength)")
     return [a + step * np.arange(n) for a, n in zip(lo, counts)]
@@ -270,7 +274,7 @@ def _sites(lo: np.ndarray, step: float, inside: np.ndarray) -> tuple[np.ndarray,
 def _convex_piece(ring: np.ndarray, step: float, frame=None) -> tuple[np.ndarray, _Lattice]:
     """Grid points inside a flat convex CCW ring, mapped by frame = (origin, e1, e2) to 3D."""
     lo = ring.min(axis=0)
-    x, y = _grid_axes(lo, ring.max(axis=0), step, 57 if frame is None else 88)
+    x, y = _grid_axes(lo, ring.max(axis=0), step)
     box = np.column_stack([np.repeat(x, y.size), np.tile(y, x.size)])
     index, pts = _sites(lo, step, points_in_convex_polygon(box, ring).reshape(x.size, y.size))
     if frame is None:
@@ -285,14 +289,14 @@ def _sample_shape(shape, step: float) -> tuple[np.ndarray, _Lattice | None]:
     if isinstance(shape, Segment):
         e = shape.end - shape.start
         length = float(np.linalg.norm(e))
-        [x] = _grid_axes([0.0], [length], step, 44)
+        [x] = _grid_axes([0.0], [length], step)
         index = np.arange(x.size, dtype=np.int32)
         t = x / length
         return (shape.start[None, :] + t[:, None] * e[None, :],
                 _Lattice(shape.start, (step / length) * e[None, :], index[:, None]))
     if isinstance(shape, (Disc, Sphere)):
         lo = shape.center - shape.radius
-        axes = _grid_axes(lo, shape.center + shape.radius, step, 40)
+        axes = _grid_axes(lo, shape.center + shape.radius, step)
         # squared distances summed over the axes in order, as np.linalg.norm over the
         # box's points sums them, without holding those points
         dist2 = sum(np.square(x - c).reshape([-1 if b == a else 1 for b in range(len(axes))])
@@ -833,8 +837,9 @@ class ChannelOperator:
 
     def dense(self) -> np.ndarray:
         """Materialize the matrix; refuses above ``DENSE_CAP_ENTRIES`` entries."""
-        refuse_above_cap(16 * self.n_rows * self.n_cols, f"the dense {self.n_rows} x "
-                         f"{self.n_cols} channel matrix", "sample more coarsely")
+        refuse_above_cap(16 * self.n_rows * self.n_cols, f"the dense {self.n_rows} x {self.n_cols}"
+                         f" channel matrix needs {self.n_rows * self.n_cols} complex entries",
+                         "sample more coarsely")
         out = np.empty(self.shape, dtype=complex)
         spans = self._spans()
         for (lo, hi), block in zip(spans, ordered_map(lambda span: self.row_block(*span),

@@ -196,16 +196,16 @@ def _checked_plan(shape, p: int | None) -> SpectrumPlan:
     n_rows, n_cols = shape
     if p is None:
         plan = SpectrumPlan("dense", None, dense_entries(n_rows, n_cols))
-        what = (f"the dense route of a {n_rows} x {n_cols} channel (the "
-                f"{min(n_rows, n_cols)}^2 Gram matrix and one block)")
-        remedy = "use the randomized method"
+        route = (f"the dense route of a {n_rows} x {n_cols} channel (the "
+                 f"{min(n_rows, n_cols)}^2 Gram matrix and one block)")
+        fix = "use the randomized method"
     else:
         n = max(n_rows, n_cols)
         plan = SpectrumPlan("randomized", p, n * p + dense_entries(n_cols, p))
-        what = (f"the randomized sketch of a {n_rows} x {n_cols} channel at P = {p} (its "
-                f"{n} x {p} buffer, then a {p}^2 Gram matrix and one block)")
-        remedy = "lower p_factor"
-    refuse_above_cap(16 * plan.entries, what, remedy, plan)
+        route = (f"the randomized sketch of a {n_rows} x {n_cols} channel at P = {p} (its "
+                 f"{n} x {p} buffer, then a {p}^2 Gram matrix and one block)")
+        fix = "lower p_factor"
+    refuse_above_cap(16 * plan.entries, f"{route} needs {plan.entries} complex entries", fix, plan)
     return plan
 
 

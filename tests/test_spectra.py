@@ -244,13 +244,14 @@ def test_gram_route_cap_counts_gram_and_block(monkeypatch):
     n_rows, n_cols = op.shape
     entries = dense_entries(n_rows, n_cols)
     assert entries == n_rows**2 + 7 * n_rows < n_rows * n_cols
+    h = op.dense()  # materialized under the full cap, so dense_spectrum refuses it itself
     monkeypatch.setattr(channel, "DENSE_CAP_ENTRIES", entries)
     assert dense_spectrum(op).sigma.shape[0] == n_rows
     monkeypatch.setattr(channel, "DENSE_CAP_ENTRIES", entries - 1)
-    with pytest.raises(TooLargeForDenseError):
+    with pytest.raises(TooLargeForDenseError, match="dense route"):
         dense_spectrum(op)
-    with pytest.raises(TooLargeForDenseError):
-        dense_spectrum(op.dense())
+    with pytest.raises(TooLargeForDenseError, match="dense route"):
+        dense_spectrum(h)
 
 
 def test_one_cap_moves_every_refusal(monkeypatch):
@@ -267,7 +268,7 @@ def test_one_cap_moves_every_refusal(monkeypatch):
         op.dense()
     assert sample_region(region, 0.1).count == samples.count
     monkeypatch.setattr(channel, "DENSE_CAP_ENTRIES", samples.count)
-    with pytest.raises(TooLargeForDenseError, match="sampling a 11 x 11 grid box") as info:
+    with pytest.raises(TooLargeForDenseError, match="sampling a 11 x 11 grid box .* 88 bytes for each of its 121 points, 10648 bytes") as info:
         sample_region(region, 0.1)
     assert info.value.plan is None
 
